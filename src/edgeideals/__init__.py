@@ -6,6 +6,9 @@ very well-covered graph recognition and generation, and a verification
 harness sweeping theorem statements over graph families.
 """
 
+# The one version literal: pyproject.toml and the sweep reports read it.
+__version__ = "1.0.0"
+
 from .betti import (
     BettiTable,
     CapacityError,
@@ -62,5 +65,3 @@ from .verify import (
     SweepReport,
     run_sweep,
 )
-
-__version__ = "1.0.0"

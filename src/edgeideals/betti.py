@@ -20,7 +20,8 @@ Tables are indexed on the ideal I, not R/I: reg(I) = reg(R/I) + 1.
 Everything is over the rationals via exact integer ranks.
 
 Both engines enforce explicit capacity caps and raise CapacityError rather
-than degrade silently.
+than degrade silently.  `betti_table` runs each requested engine that fits
+its caps and requires the tables to agree when two answer.
 """
 
 from __future__ import annotations
@@ -66,10 +67,15 @@ DEFAULT_CAPS = Caps()
 
 
 class BettiTable:
-    """Map (homological degree i, internal degree j) -> positive rank."""
+    """Map (homological degree i, internal degree j) -> positive rank.
 
-    def __init__(self, entries):
+    `engines` names the engines that answered with this table; equality
+    compares entries only.
+    """
+
+    def __init__(self, entries, engines=()):
         self.entries = {k: v for k, v in entries.items() if v}
+        self.engines = engines
         for (i, j), r in self.entries.items():
             if i < 0 or j < 0 or r < 0:
                 raise ValueError(f"bad Betti entry ({i},{j})={r}")
@@ -87,10 +93,6 @@ class BettiTable:
 
     def rows(self):
         return [(i, j, r) for (i, j), r in sorted(self.entries.items())]
-
-    def generator_degree_counts(self):
-        """The strand β_{0,j}, which must count minimal generators."""
-        return {j: r for (i, j), r in self.entries.items() if i == 0}
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
@@ -415,30 +417,25 @@ _interval_memo = {}
 def _crosscut_ranks(atoms, m, caps):
     """Reduced homology of the crosscut complex of the interval below m:
     vertices are the generators dividing m, faces the subsets whose lcm is
-    still below m.  Homotopy equivalent to the interval's order complex."""
+    still below m.  Homotopy equivalent to the interval's order complex.
+
+    A subset's lcm stays below m exactly when some variable has exponent
+    below m's in every atom, so the complex is the nerve of the atoms'
+    slack masks (the variables where the atom is below m)."""
     key = atoms
     hit = _interval_memo.get(key)
     if hit is not None:
         return hit
-    k = len(atoms)
-    bottom = mon.one(len(m))
-    faces = []
-
-    def extend(cur, mask, start):
-        for a in range(start, k):
-            nl = mon.lcm(cur, atoms[a])
-            if nl == m:
-                continue  # the join reached the top; supersets do too
-            nm = mask | (1 << a)
-            faces.append(nm)
-            if len(faces) > caps.lcm_face_cap:
-                raise CapacityError(
-                    f"crosscut complex exceeded the face cap "
-                    f"{caps.lcm_face_cap}"
-                )
-            extend(nl, nm, a + 1)
-
-    extend(bottom, 0, 0)
+    slack = [
+        sum(1 << v for v, (a, e) in enumerate(zip(atom, m)) if a < e)
+        for atom in atoms
+    ]
+    try:
+        faces = _nerve_faces(slack, (1 << len(m)) - 1, caps.lcm_face_cap)
+    except OverflowError:
+        raise CapacityError(
+            f"crosscut complex exceeded the face cap {caps.lcm_face_cap}"
+        ) from None
     ranks = reduced_homology_ranks(faces)
     _interval_memo[key] = ranks
     return ranks
@@ -465,67 +462,60 @@ def betti_table_lcm(I, caps=DEFAULT_CAPS):
 
 
 # ---------------------------------------------------------------------------
-# Engine dispatch.
+# The engine rule.
 # ---------------------------------------------------------------------------
 
-ENGINES = ("lcm", "hochster", "both", "auto")
+
+def _check_engines(engines):
+    if engines not in (("lcm",), ("hochster",), ("lcm", "hochster")):
+        raise ValueError(
+            f"engines must be ('lcm',), ('hochster',) or "
+            f"('lcm', 'hochster'), not {engines!r}"
+        )
 
 
-def betti_table(I, engine="auto", caps=DEFAULT_CAPS):
-    """Betti table via the requested engine.
+def betti_table(I, engines=("lcm", "hochster"), caps=DEFAULT_CAPS):
+    """Betti table of I from every listed engine that fits within caps.
 
-    'auto' prefers the lcm engine and falls back to Hochster on capacity;
-    'both' runs the two engines and insists on entrywise agreement.
+    Tables from two engines must agree entrywise, else EngineDisagreement.
+    CapacityError only when no listed engine fits.  The returned table
+    records the engines that answered in `engines`.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "lcm":
-        return betti_table_lcm(I, caps)
-    if engine == "hochster":
-        return betti_table_hochster(I, caps)
-    if engine == "both":
-        t_lcm = betti_table_lcm(I, caps)
-        t_hoch = betti_table_hochster(I, caps)
-        if t_lcm != t_hoch:
-            raise EngineDisagreement(I, t_lcm, t_hoch)
-        return t_lcm
-    try:
-        return betti_table_lcm(I, caps)
-    except CapacityError:
-        return betti_table_hochster(I, caps)
+    _check_engines(engines)
+    _check_ideal(I)
+    tables, errors = {}, []
+    for name in engines:
+        # Looked up at call time, so rebinding the module attributes
+        # reaches every engine run.
+        fn = betti_table_lcm if name == "lcm" else betti_table_hochster
+        try:
+            tables[name] = fn(I, caps)
+        except CapacityError as exc:
+            errors.append(exc)
+    if not tables:
+        if len(errors) == 1:
+            raise errors[0]
+        raise CapacityError(
+            "both engines over capacity: " + "; ".join(map(str, errors))
+        )
+    if len(tables) == 2 and tables["lcm"] != tables["hochster"]:
+        raise EngineDisagreement(I, tables["lcm"], tables["hochster"])
+    table = next(iter(tables.values()))
+    table.engines = tuple(tables)
+    return table
 
 
 _reg_cache = {}
 
 
-def regularity(I, engine="auto", caps=DEFAULT_CAPS, cross_validate=False):
-    """reg(I) = max{j - i} over nonzero Betti table entries.
-
-    With cross_validate=True the second engine also runs whenever it is
-    within caps and the two tables are required to agree entrywise.
-    """
-    _check_ideal(I)
-    key = (I, engine, cross_validate) if caps is DEFAULT_CAPS else None
+def regularity(I, engines=("lcm", "hochster"), caps=DEFAULT_CAPS):
+    """reg(I) = max{j - i} over the entries of betti_table(I, engines, caps);
+    memoized under the default caps."""
+    _check_engines(engines)
+    key = (I, engines) if caps is DEFAULT_CAPS else None
     if key is not None and key in _reg_cache:
         return _reg_cache[key]
-    if cross_validate and engine == "auto":
-        tables = {}
-        errors = {}
-        for name, fn in (("lcm", betti_table_lcm), ("hochster", betti_table_hochster)):
-            try:
-                tables[name] = fn(I, caps)
-            except CapacityError as exc:
-                errors[name] = exc
-        if not tables:
-            raise CapacityError(
-                "both engines over capacity: "
-                + "; ".join(str(e) for e in errors.values())
-            )
-        if len(tables) == 2 and tables["lcm"] != tables["hochster"]:
-            raise EngineDisagreement(I, tables["lcm"], tables["hochster"])
-        reg = next(iter(tables.values())).regularity()
-    else:
-        reg = betti_table(I, engine, caps).regularity()
+    reg = betti_table(I, engines, caps).regularity()
     if key is not None:
         _reg_cache[key] = reg
     return reg

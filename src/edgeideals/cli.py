@@ -18,7 +18,6 @@ from .betti import (
     CapacityError,
     EngineDisagreement,
     betti_table,
-    regularity,
 )
 from .evenconn import EvenConnectionError, colon_graph, colon_ideal_by_algebra
 from .generators import FamilySpec, GenerationError
@@ -34,7 +33,7 @@ from .graphs import (
     odd_girth,
     to_edge_list,
 )
-from .verify import CHECK_NAMES, SweepParams, run_sweep
+from .verify import CHECK_NAMES, SweepParams, run_sweep, sweep_graphs
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -131,23 +130,24 @@ def cmd_regularity(args):
     if args.power < 1:
         raise CliError("--power must be >= 1")
     I = mon.power(mon.edge_ideal(G), args.power)
+    engines = ("lcm", "hochster") if args.engine == "both" else (args.engine,)
     try:
-        table = betti_table(I, engine=args.engine, caps=DEFAULT_CAPS)
-        reg = regularity(I, engine=args.engine, caps=DEFAULT_CAPS)
+        table = betti_table(I, engines, DEFAULT_CAPS)
     except CapacityError as exc:
         raise CliError(f"capacity exceeded: {exc}") from exc
     obj = {
         "power": args.power,
-        "engine": args.engine,
+        "engines": list(table.engines),
         "generators": len(I.gens),
-        "regularity": reg,
+        "regularity": table.regularity(),
         "betti": table.to_json_obj(),
     }
 
     def text(o):
         return (
             f"reg(I(G)^{o['power']}) = {o['regularity']}  "
-            f"[engine={o['engine']}, {o['generators']} generators]\n"
+            f"[answered by {'+'.join(o['engines'])}, "
+            f"{o['generators']} generators]\n"
             + table.text_triangle()
         )
 
@@ -213,41 +213,18 @@ def cmd_verify(args):
             raise CliError(
                 f"unknown check {c!r}; available: {', '.join(CHECK_NAMES)}"
             )
-    # Single-graph verification: reuse the sweep machinery on a
-    # one-element stream wrapping the parsed graph.
-    params = _params_from_args(args)
-    report = run_sweep(_InlineSpec(G), checks, params)
+    spec = {
+        "kind": "inline",
+        "n": G.n,
+        "edges": [list(e) for e in G.sorted_edges],
+    }
+    report = sweep_graphs(spec, [G], checks, _params_from_args(args))
     _emit(
         report.to_json_obj(),
         args.format,
         lambda o: _render_report_text(report),
     )
     return EXIT_FAIL if report.fail_count else EXIT_OK
-
-
-class _InlineSpec(FamilySpec):
-    """A FamilySpec wrapper around one preparsed graph."""
-
-    def __init__(self, G):
-        object.__setattr__(self, "kind", "named")
-        object.__setattr__(self, "n", None)
-        object.__setattr__(self, "m", None)
-        object.__setattr__(self, "density", 0.3)
-        object.__setattr__(self, "seed", 0)
-        object.__setattr__(self, "odd_girth_min", None)
-        object.__setattr__(self, "cap", None)
-        object.__setattr__(self, "names", ("inline",))
-        object.__setattr__(self, "_graph", G)
-
-    def instances(self):
-        return [self._graph]
-
-    def to_json_obj(self):
-        return {
-            "kind": "inline",
-            "n": self._graph.n,
-            "edges": [list(e) for e in self._graph.sorted_edges],
-        }
 
 
 def _render_report_text(report):
@@ -376,8 +353,8 @@ def build_parser():
     p = sub.add_parser("regularity", help="reg(I(G)^s) and the Betti table")
     common(p, graph=True)
     p.add_argument("--power", type=int, default=1)
-    p.add_argument("--engine", choices=("lcm", "hochster", "both", "auto"),
-                   default="auto")
+    p.add_argument("--engine", choices=("lcm", "hochster", "both"),
+                   default="both")
     p.set_defaults(fn=cmd_regularity)
 
     p = sub.add_parser("colon", help="colon graph of (I^{s+1} : e_1...e_s)")
@@ -425,13 +402,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except CliError as exc:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except (CliError, GraphError, mon.IdealError, EngineDisagreement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (GraphError, mon.IdealError, EngineDisagreement) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except BrokenPipeError:
+        # The reader stopped reading (e.g. `| head`).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

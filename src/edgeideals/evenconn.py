@@ -103,8 +103,9 @@ def even_connections_from(G, product, u):
     # and prefix comparison is plain lexicographic order.
     layer = {(u, _multiset_key(counts)): (u,)}
     residuals = {_multiset_key(counts): counts}
-    for _ in range(len(product)):
-        # Close off walks at this depth (l >= 1 once a pair was consumed).
+
+    def close_walks(layer):
+        # One final step from every walk that consumed at least one pair.
         for (w, _rkey), walk in sorted(layer.items(), key=lambda kv: kv[1]):
             if len(walk) == 1:
                 continue
@@ -117,6 +118,9 @@ def even_connections_from(G, product, u):
                         for k in range(len(cand) // 2 - 1)
                     )
                     best[v] = EvenConnectionWitness(cand, bridges)
+
+    for _ in range(len(product)):
+        close_walks(layer)
         nxt = {}
         for (w, rkey), walk in layer.items():
             rem = residuals[rkey]
@@ -142,16 +146,7 @@ def even_connections_from(G, product, u):
         if not layer:
             break
     # Walks that consumed the whole multiset still need their final step.
-    for (w, _rkey), walk in sorted(layer.items(), key=lambda kv: kv[1]):
-        for v in sorted(G.adj[w]):
-            cand = walk + (v,)
-            old = best.get(v)
-            if old is None or (len(cand), cand) < (len(old.walk), old.walk):
-                bridges = tuple(
-                    tuple(sorted((cand[2 * k + 1], cand[2 * k + 2])))
-                    for k in range(len(cand) // 2 - 1)
-                )
-                best[v] = EvenConnectionWitness(cand, bridges)
+    close_walks(layer)
     return best
 
 

@@ -224,19 +224,24 @@ def maximal_independent_sets(G):
     """All inclusion-maximal independent sets, in lexicographic order.
 
     These are the maximal cliques of the complement graph; enumerated by
-    Bron-Kerbosch with pivoting on bitmasks.
+    Bron-Kerbosch with pivoting on bitmasks, on an explicit stack so that
+    large independent sets cannot exhaust the interpreter's recursion
+    limit.  Isolated vertices lie in every maximal independent set, so
+    they are set aside first.
     """
     n = G.n
     if n == 0:
         return [()]
     full = (1 << n) - 1
+    isolated = sum(1 << v for v in range(n) if not G.adj_mask[v])
     cadj = [full & ~(G.adj_mask[v] | (1 << v)) for v in range(n)]
     out = []
-
-    def bk(r, p, x):
+    stack = [(isolated, full ^ isolated, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             out.append(r)
-            return
+            continue
         pivots = p | x
         u = max(range(n), key=lambda w: bin(p & cadj[w]).count("1")
                 if (pivots >> w) & 1 else -1)
@@ -244,12 +249,10 @@ def maximal_independent_sets(G):
         while cand:
             v = (cand & -cand).bit_length() - 1
             vbit = 1 << v
-            bk(r | vbit, p & cadj[v], x & cadj[v])
+            stack.append((r | vbit, p & cadj[v], x & cadj[v]))
             p &= ~vbit
             x |= vbit
             cand &= ~vbit
-
-    bk(0, full, 0)
     sets = [tuple(v for v in range(n) if (mask >> v) & 1) for mask in out]
     return sorted(sets)
 

@@ -7,8 +7,8 @@ hypotheses yields verdict "skipped" (with the unmet hypothesis named),
 never a vacuous "pass".  A "fail" is a counterexample to a published
 theorem and carries both measured sides.  Capacity overruns skip.
 
-Regularities computed here are cross-validated: whenever both Betti
-engines are within caps, their tables must agree entrywise (a mismatch
+Regularities computed here use both Betti engines: each one within caps
+runs, and when both do their tables must agree entrywise (a mismatch
 raises EngineDisagreement rather than producing a verdict).
 """
 
@@ -23,10 +23,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from . import __version__
 from . import monomials as mon
 from .betti import DEFAULT_CAPS, CapacityError, regularity
-from .evenconn import colon_graph, colon_ideal_by_algebra
-from .generators import FamilySpec
+from .evenconn import colon_graph
 from .graphs import (
     INFINITE,
     canonical_key,
@@ -34,8 +34,6 @@ from .graphs import (
     is_very_well_covered,
     odd_girth,
 )
-
-VERSION = "1.0.0"
 
 CHECK_NAMES = (
     "katzman",
@@ -107,10 +105,6 @@ def derive_k(G, s):
     return (og - 1) // 2
 
 
-def _reg(I, caps):
-    return regularity(I, engine="auto", caps=caps, cross_validate=True)
-
-
 # ---------------------------------------------------------------------------
 # Individual checks.
 # ---------------------------------------------------------------------------
@@ -123,7 +117,7 @@ def check_katzman(G, caps=DEFAULT_CAPS):
         return CheckResult("katzman", inst, "skipped", {"reason": "no edges"})
     nu = induced_matching_number(G)
     try:
-        reg = _reg(mon.edge_ideal(G), caps)
+        reg = regularity(mon.edge_ideal(G), caps=caps)
     except CapacityError as exc:
         return CheckResult("katzman", inst, "skipped", {"reason": str(exc)})
     verdict = "pass" if reg >= nu + 1 else "fail"
@@ -139,7 +133,7 @@ def check_bht_lower_bound(G, s, caps=DEFAULT_CAPS):
         raise ValueError("s must be positive")
     nu = induced_matching_number(G)
     try:
-        reg = _reg(mon.power(mon.edge_ideal(G), s), caps)
+        reg = regularity(mon.power(mon.edge_ideal(G), s), caps=caps)
     except CapacityError as exc:
         return CheckResult("bht", inst, "skipped", {"reason": str(exc)})
     bound = 2 * s + nu - 1
@@ -167,7 +161,7 @@ def check_main_theorem(G, k, s, caps=DEFAULT_CAPS):
         )
     nu = induced_matching_number(G)
     try:
-        reg = _reg(mon.power(mon.edge_ideal(G), s), caps)
+        reg = regularity(mon.power(mon.edge_ideal(G), s), caps=caps)
     except CapacityError as exc:
         return CheckResult(name, inst, "skipped", {"reason": str(exc)})
     expected = 2 * s + nu - 1
@@ -187,7 +181,7 @@ def check_main_theorem_hunter(G, s, caps=DEFAULT_CAPS):
         )
     nu = induced_matching_number(G)
     try:
-        reg = _reg(mon.power(mon.edge_ideal(G), s), caps)
+        reg = regularity(mon.power(mon.edge_ideal(G), s), caps=caps)
     except CapacityError as exc:
         return CheckResult(name, inst, "skipped", {"reason": str(exc)})
     expected = 2 * s + nu - 1
@@ -298,11 +292,11 @@ def check_banerjee_recursion(G, s, caps=DEFAULT_CAPS):
     Is = mon.power(I, s)
     Is1 = mon.power(I, s + 1)
     try:
-        lhs = _reg(Is1, caps)
-        rhs = _reg(Is, caps)
+        lhs = regularity(Is1, caps=caps)
+        rhs = regularity(Is, caps=caps)
         for m_l in Is.sorted_gens():
             colon = mon.colon_by_monomial(Is1, m_l)
-            rhs = max(rhs, _reg(colon, caps) + 2 * s)
+            rhs = max(rhs, regularity(colon, caps=caps) + 2 * s)
     except CapacityError as exc:
         return CheckResult(name, inst, "skipped", {"reason": str(exc)})
     verdict = "pass" if lhs <= rhs else "fail"
@@ -387,7 +381,7 @@ def _run_checks_on_instance(args):
 
 @dataclass
 class SweepReport:
-    spec: FamilySpec
+    spec: dict  # the JSON object describing the graph stream
     checks: tuple
     params: SweepParams
     results: list
@@ -412,10 +406,10 @@ class SweepReport:
 
     def to_json_obj(self):
         return {
-            "spec": self.spec.to_json_obj(),
+            "spec": self.spec,
             "checks": list(self.checks),
             "field": "QQ",
-            "version": VERSION,
+            "version": __version__,
             "seed": self.params.seed,
             "s_values": list(self.params.s_values),
             "results": [
@@ -441,15 +435,22 @@ class SweepReport:
 
 
 def run_sweep(spec, checks, params=None, caps=DEFAULT_CAPS):
-    """Apply each named check to every instance of the family.  Failures
+    """Apply each named check to every instance of the FamilySpec."""
+    return sweep_graphs(
+        spec.to_json_obj(), spec.instances(), checks, params, caps
+    )
+
+
+def sweep_graphs(spec, graphs, checks, params=None, caps=DEFAULT_CAPS):
+    """Apply each named check to every graph in `graphs`, recording
+    `spec`, a JSON object, as the stream's description.  Failures
     are collected, never raised; the report is deterministic for a fixed
-    spec, checks, params, and version."""
+    stream, checks, params, and version."""
     params = params or SweepParams()
     for check in checks:
         if check not in CHECK_NAMES:
             raise ValueError(f"unknown check {check!r}")
-    instances = spec.instances()
-    tasks = [(G, i, tuple(checks), params, caps) for i, G in enumerate(instances)]
+    tasks = [(G, i, tuple(checks), params, caps) for i, G in enumerate(graphs)]
     if params.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=params.jobs) as pool:
             chunks = list(pool.map(_run_checks_on_instance, tasks))

@@ -2,11 +2,16 @@
 output shapes and the 0/1/2 exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import edgeideals
+from edgeideals import betti
 from edgeideals.cli import main
-from edgeideals.generators import cycle_graph, path_graph
+from edgeideals.generators import complete_bipartite_graph, cycle_graph, path_graph
 from edgeideals.graphs import to_edge_list
 
 
@@ -66,6 +71,16 @@ class TestAnalyze:
         f.write_text("n 3\n")
         assert main(["analyze", "--graph", str(f)]) == 2
 
+    def test_many_isolated_vertices(self, tmp_path, capsys):
+        # Maximal independent sets used to recurse once per isolated
+        # vertex and overflowed the stack from about n = 1000.
+        f = tmp_path / "sparse.txt"
+        f.write_text("n 2000\n0 1\n")
+        code, out = run(capsys, ["analyze", "--graph", str(f), "--format", "json"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["unmixed"] is True and obj["very_well_covered"] is False
+
 
 class TestRegularity:
     def test_c5_square(self, capsys, graph_file):
@@ -100,15 +115,40 @@ class TestRegularity:
     def test_engines_agree(self, capsys, graph_file):
         f = graph_file(cycle_graph(5))
         vals = set()
-        for engine in ("lcm", "hochster", "both", "auto"):
+        answered = {"lcm": ["lcm"], "hochster": ["hochster"],
+                    "both": ["lcm", "hochster"]}
+        for engine, engines in answered.items():
             code, out = run(
                 capsys,
                 ["regularity", "--graph", f, "--engine", engine,
                  "--format", "json"],
             )
             assert code == 0
-            vals.add(json.loads(out)["regularity"])
+            obj = json.loads(out)
+            assert obj["engines"] == engines
+            vals.add(obj["regularity"])
         assert vals == {3}
+
+    def test_both_answers_when_lcm_is_over_cap(self, capsys, graph_file):
+        # I(K3,6) has 18 generators, over the lcm cap of 16.
+        f = graph_file(complete_bipartite_graph(3, 6))
+        code, out = run(capsys, ["regularity", "--graph", f])
+        assert code == 0
+        assert "[answered by hochster, 18 generators]" in out
+        assert main(["regularity", "--graph", f, "--engine", "lcm"]) == 2
+
+    def test_builds_table_once(self, capsys, graph_file, monkeypatch):
+        calls = []
+        lcm = betti.betti_table_lcm
+
+        def counted(I, caps):
+            calls.append(I)
+            return lcm(I, caps)
+
+        monkeypatch.setattr(betti, "betti_table_lcm", counted)
+        monkeypatch.setattr(betti, "_reg_cache", {})
+        code, _ = run(capsys, ["regularity", "--graph", graph_file(path_graph(4))])
+        assert code == 0 and len(calls) == 1
 
     def test_bad_power(self, capsys, graph_file):
         assert (
@@ -210,7 +250,12 @@ class TestVerify:
         assert code == 0
         obj = json.loads(out)
         assert obj["summary"]["katzman"]["pass"] == 1
-        assert obj["spec"]["kind"] == "inline"
+        assert obj["spec"] == {
+            "kind": "inline",
+            "n": 5,
+            "edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]],
+        }
+        assert obj["version"] == edgeideals.__version__
 
     def test_unknown_check(self, capsys, graph_file):
         assert (
@@ -308,3 +353,19 @@ class TestGenerate:
 
     def test_no_kind_or_config(self, capsys):
         assert main(["generate"]) == 2
+
+    def test_closed_pipe(self):
+        # The reader closes the pipe before the first write, as `| head`
+        # does once it has its lines: no traceback, exit 0.
+        src = os.path.dirname(os.path.dirname(edgeideals.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "edgeideals.cli", "generate",
+             "--kind", "named", "--names", "P4", "C5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,24 @@ class TestIndependentSets:
             assert sorted(
                 maximal_independent_sets(G)
             ) == oracle_maximal_independent_sets(G)
+
+    def test_isolated_vertices_join_every_set(self):
+        G = Graph.from_edges(5, [(1, 3)])
+        assert maximal_independent_sets(G) == [(0, 1, 2, 4), (0, 2, 3, 4)]
+        assert maximal_independent_sets(Graph.from_edges(3, [])) == [(0, 1, 2)]
+        assert len(maximal_independent_sets(Graph.from_edges(3000, []))) == 1
+
+    def test_large_independent_set_needs_no_recursion(self):
+        # The star K_{1,400} has the 400 leaves as one maximal independent
+        # set; a recursive search would need one frame per leaf.
+        G = Graph.from_edges(401, [(0, v) for v in range(1, 401)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            got = maximal_independent_sets(G)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == [(0,), tuple(range(1, 401))]
 
     def test_unmixed(self):
         assert is_unmixed(cycle_graph(4))
