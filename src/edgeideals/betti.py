@@ -138,6 +138,7 @@ def _check_ideal(I):
 # kills the product.
 # ---------------------------------------------------------------------------
 
+# Keyed on the face cap too: whether a component fits depends on it.
 _component_memo = {}
 
 
@@ -192,7 +193,7 @@ def component_homology_poly(nvertices, nonfaces, caps=DEFAULT_CAPS):
     (faces = subsets of nonface complements), whichever is smaller; over
     the rationals H~_d(complex) = H~_(n-d-3)(dual).
     """
-    key = (nvertices, nonfaces)
+    key = (nvertices, nonfaces, caps.homology_face_cap)
     hit = _component_memo.get(key)
     if hit is not None:
         return hit
@@ -411,6 +412,7 @@ def lcm_lattice(I, cap=DEFAULT_CAPS.lcm_lattice_cap):
     return seen
 
 
+# Keyed on the face cap too: whether an interval fits depends on it.
 _interval_memo = {}
 
 
@@ -422,7 +424,7 @@ def _crosscut_ranks(atoms, m, caps):
     A subset's lcm stays below m exactly when some variable has exponent
     below m's in every atom, so the complex is the nerve of the atoms'
     slack masks (the variables where the atom is below m)."""
-    key = atoms
+    key = (atoms, caps.lcm_face_cap)
     hit = _interval_memo.get(key)
     if hit is not None:
         return hit

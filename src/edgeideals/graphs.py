@@ -242,9 +242,17 @@ def maximal_independent_sets(G):
         if not p and not x:
             out.append(r)
             continue
+        # Pivot: the vertex of p | x with the most complement-neighbours
+        # in p, lowest index on ties; only the set bits of p | x are read.
         pivots = p | x
-        u = max(range(n), key=lambda w: bin(p & cadj[w]).count("1")
-                if (pivots >> w) & 1 else -1)
+        u, best = -1, -1
+        while pivots:
+            low = pivots & -pivots
+            w = low.bit_length() - 1
+            count = (p & cadj[w]).bit_count()
+            if count > best:
+                u, best = w, count
+            pivots ^= low
         cand = p & ~cadj[u]
         while cand:
             v = (cand & -cand).bit_length() - 1

@@ -130,16 +130,38 @@ class MonomialIdeal:
 
 def minimalize(nvars, gens):
     """Minimal generating set: drop every monomial strictly divisible by
-    another, and deduplicate.  The unit monomial absorbs everything."""
-    unique = sorted(set(gens), key=lambda g: (degree(g), g))
-    if unique and degree(unique[0]) == 0:
-        return MonomialIdeal(nvars, frozenset([one(nvars)]))
-    kept = []
+    another, and deduplicate.  The unit monomial absorbs everything.
+
+    `gens` is read once, so it may be an iterator.  The distinct monomials
+    are bucketed by degree.  A monomial can only be divided by one of
+    strictly lower degree (two distinct monomials of equal degree never
+    divide each other), so a single bucket is already minimal and costs
+    O(k).  Otherwise the buckets are visited in increasing degree and each
+    monomial is tested against the kept ones of lower degree, rejecting on
+    support bitmasks before comparing exponents."""
+    unique = set(gens)
+    buckets = {}
     for m in unique:
-        d = degree(m)
-        if not any(divides(k, m) for k in kept if degree(k) < d):
-            kept.append(m)
-    return MonomialIdeal(nvars, frozenset(kept))
+        buckets.setdefault(degree(m), []).append(m)
+    if 0 in buckets:
+        return MonomialIdeal(nvars, frozenset([one(nvars)]))
+    if len(buckets) <= 1:
+        return MonomialIdeal(nvars, frozenset(unique))
+    kept = []
+    for d in sorted(buckets):
+        fresh = []
+        for m in buckets[d]:
+            mmask = 0
+            for i, e in enumerate(m):
+                if e:
+                    mmask |= 1 << i
+            for kmask, k in kept:
+                if not kmask & ~mmask and divides(k, m):
+                    break
+            else:
+                fresh.append((mmask, m))
+        kept.extend(fresh)
+    return MonomialIdeal(nvars, frozenset(m for _, m in kept))
 
 
 def edge_ideal(G):
@@ -158,8 +180,9 @@ def power(I, s):
     """Minimal generating set of I^s.
 
     Products of s generators generate I^s; a final minimalization pass
-    removes non-minimal products (a no-op for edge ideals, where all
-    products share the same degree).
+    removes non-minimal products.  Whenever all products share a degree
+    (every power of an edge ideal, or of any equigenerated ideal) that
+    pass is an O(k) deduplication.
     """
     if s < 1:
         raise IdealError("power exponent must be >= 1")

@@ -225,6 +225,29 @@ class TestEngineRule:
             betti_table_lcm(I_of(cycle_graph(5)), Caps(lcm_face_cap=1))
 
 
+class TestMemoKeys:
+    """A memoized result from a looser face cap must not leak into a run
+    under a tighter one: each memo's key carries the cap it enforces."""
+
+    def test_interval_memo_respects_lcm_face_cap(self, monkeypatch):
+        monkeypatch.setattr(betti, "_interval_memo", {})
+        I = I_of(cycle_graph(5))
+        assert betti_table_lcm(I).regularity() == 3
+        with pytest.raises(CapacityError, match="crosscut complex exceeded"):
+            betti_table_lcm(I, Caps(lcm_face_cap=1))
+
+    def test_component_memo_respects_homology_face_cap(self, monkeypatch):
+        monkeypatch.setattr(betti, "_component_memo", {})
+        # The independence complex of the path on 13 vertices: over 12
+        # vertices, so the face cap applies to both routes.
+        nonfaces = tuple((1 << v) | (1 << (v + 1)) for v in range(12))
+        assert betti.component_homology_poly(13, nonfaces) == ()
+        with pytest.raises(CapacityError, match="face cap 5"):
+            betti.component_homology_poly(
+                13, nonfaces, Caps(homology_face_cap=5)
+            )
+
+
 class TestCaps:
     def test_lcm_generator_cap(self):
         caps = Caps(lcm_max_generators=2)

@@ -218,6 +218,10 @@ class TestIndependentSets:
                 maximal_independent_sets(G)
             ) == oracle_maximal_independent_sets(G)
 
+    def test_against_oracle_up_to_eight_vertices(self):
+        for G in random_graphs(808, 150, nmax=8):
+            assert maximal_independent_sets(G) == oracle_maximal_independent_sets(G)
+
     def test_isolated_vertices_join_every_set(self):
         G = Graph.from_edges(5, [(1, 3)])
         assert maximal_independent_sets(G) == [(0, 1, 2, 4), (0, 2, 3, 4)]

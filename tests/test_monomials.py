@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeideals.graphs import Graph
 from edgeideals.monomials import (
@@ -110,6 +112,95 @@ class TestIdeals:
     def test_equals_rejects_arity_mismatch(self):
         with pytest.raises(IdealError):
             equals(minimalize(2, [(1, 0)]), minimalize(3, [(1, 0, 0)]))
+
+
+def reference_minimal(gens):
+    """Brute-force O(k^2) minimal generating set: keep each distinct
+    monomial that no other distinct monomial divides."""
+    unique = set(gens)
+    return frozenset(
+        m for m in unique
+        if not any(k != m and all(x <= y for x, y in zip(k, m)) for k in unique)
+    )
+
+
+def monomial_lists(nvars, min_size=0):
+    return st.lists(
+        st.tuples(*[st.integers(0, 4)] * nvars), min_size=min_size, max_size=12
+    )
+
+
+@st.composite
+def generating_sets(draw, min_size=0):
+    nvars = draw(st.integers(0, 6))
+    return nvars, draw(monomial_lists(nvars, min_size))
+
+
+@st.composite
+def equigenerated_sets(draw):
+    """Monomials of one common degree: exponent vectors drawn freely, then
+    topped up in the last variable to the largest degree drawn."""
+    nvars = draw(st.integers(1, 6))
+    gens = draw(monomial_lists(nvars, min_size=1))
+    d = max(map(degree, gens))
+    return nvars, [g[:-1] + (g[-1] + d - degree(g),) for g in gens]
+
+
+@st.composite
+def mixed_degree_sets(draw):
+    """At least two degrees: a free draw plus a strict multiple of one of
+    its monomials, which must not survive."""
+    nvars = draw(st.integers(1, 6))
+    gens = draw(monomial_lists(nvars, min_size=1))
+    g, i = draw(st.sampled_from(gens)), draw(st.integers(0, nvars - 1))
+    return nvars, gens + [g[:i] + (g[i] + 1,) + g[i + 1:]]
+
+
+class TestMinimalizeProperties:
+    """minimalize against the brute-force reference_minimal."""
+
+    @settings(deadline=None)
+    @given(mixed_degree_sets())
+    def test_mixed_degrees(self, case):
+        nvars, gens = case
+        assert len({degree(g) for g in gens}) >= 2
+        assert minimalize(nvars, gens).gens == reference_minimal(gens)
+
+    @settings(deadline=None)
+    @given(generating_sets(min_size=1))
+    def test_duplicates(self, case):
+        nvars, gens = case
+        doubled = gens + gens[::-1] + gens[:1]
+        assert minimalize(nvars, doubled).gens == reference_minimal(gens)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 6))
+    def test_empty(self, nvars):
+        I = minimalize(nvars, [])
+        assert I.is_zero and I == MonomialIdeal(nvars, frozenset())
+
+    @settings(deadline=None)
+    @given(generating_sets(), st.integers(0, 12))
+    def test_unit_absorbs(self, case, at):
+        nvars, gens = case
+        gens = gens[:at] + [one(nvars)] + gens[at:]
+        I = minimalize(nvars, gens)
+        assert I.is_unit and I.gens == reference_minimal(gens) == {one(nvars)}
+
+    @settings(deadline=None)
+    @given(equigenerated_sets())
+    def test_single_degree(self, case):
+        nvars, gens = case
+        assert len({degree(g) for g in gens}) == 1
+        assert minimalize(nvars, gens).gens == frozenset(gens)
+        assert reference_minimal(gens) == frozenset(gens)
+
+    @settings(deadline=None)
+    @given(generating_sets())
+    def test_one_shot_iterator(self, case):
+        nvars, gens = case
+        got = minimalize(nvars, (g for g in gens))
+        assert got.gens == reference_minimal(gens)
 
 
 class TestEdgeIdealsAndPowers:
