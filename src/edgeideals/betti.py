@@ -88,9 +88,6 @@ class BettiTable:
             raise ValueError("empty Betti table has no regularity")
         return max(j - i for i, j in self.entries)
 
-    def projective_dimension(self):
-        return max(i for i, _ in self.entries)
-
     def rows(self):
         return [(i, j, r) for (i, j), r in sorted(self.entries.items())]
 
@@ -374,7 +371,7 @@ def betti_table_hochster(I, caps=DEFAULT_CAPS):
         poly = restriction_homology_poly(nfs, caps)
         if not poly:
             continue
-        j = bin(w).count("1")
+        j = w.bit_count()
         for e, r in enumerate(poly):
             if not r:
                 continue

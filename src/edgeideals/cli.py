@@ -22,7 +22,6 @@ from .betti import (
 from .evenconn import EvenConnectionError, colon_graph, colon_ideal_by_algebra
 from .generators import FamilySpec, GenerationError
 from .graphs import (
-    INFINITE,
     EdgeListParseError,
     GraphError,
     find_vwc_certificate,
@@ -33,7 +32,13 @@ from .graphs import (
     odd_girth,
     to_edge_list,
 )
-from .verify import CHECK_NAMES, SweepParams, run_sweep, sweep_graphs
+from .verify import (
+    CHECK_NAMES,
+    SweepParams,
+    odd_girth_json,
+    run_sweep,
+    sweep_graphs,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,11 +78,6 @@ def _parse_edges(text):
     return out
 
 
-def _og_json(G):
-    og = odd_girth(G)
-    return "inf" if og == INFINITE else og
-
-
 def _emit(obj, fmt, render_text):
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True, indent=2))
@@ -99,7 +99,7 @@ def cmd_analyze(args):
         "n": G.n,
         "edges": [list(e) for e in G.sorted_edges],
         "edge_count": len(G.edges),
-        "odd_girth": _og_json(G),
+        "odd_girth": odd_girth_json(odd_girth(G)),
         "induced_matching_number": induced_matching_number(G),
         "unmixed": is_unmixed(G),
         "very_well_covered": is_very_well_covered(G),
@@ -172,9 +172,7 @@ def cmd_colon(args):
         "new_edges": [list(e) for e in cg.new_edges(G)],
         "squares": sorted(cg.squares),
         "squarefree": cg.is_squarefree,
-        "colon_odd_girth": "inf"
-        if odd_girth(cg.edge_graph()) == INFINITE
-        else odd_girth(cg.edge_graph()),
+        "colon_odd_girth": odd_girth_json(odd_girth(cg.edge_graph())),
         "oracle_agrees": agree,
     }
 
@@ -200,25 +198,23 @@ def _params_from_args(args, config=None):
         s_values=tuple(config.get("s_values", args.s_values or (1, 2))),
         seed=args.seed if args.seed is not None else config.get("seed", 0),
         multiset_sample=config.get("multiset_sample", 50),
-        jobs=args.jobs or config.get("jobs", 1),
+        jobs=getattr(args, "jobs", 0) or config.get("jobs", 1),
         timings=args.timings or config.get("timings", False),
     )
 
 
 def cmd_verify(args):
     G = _load_graph(args.graph)
-    checks = args.checks or list(CHECK_NAMES)
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise CliError(
-                f"unknown check {c!r}; available: {', '.join(CHECK_NAMES)}"
-            )
     spec = {
         "kind": "inline",
         "n": G.n,
         "edges": [list(e) for e in G.sorted_edges],
     }
-    report = sweep_graphs(spec, [G], checks, _params_from_args(args))
+    checks = args.checks or CHECK_NAMES
+    try:
+        report = sweep_graphs(spec, [G], checks, _params_from_args(args))
+    except ValueError as exc:  # an unknown check name, or a bad power
+        raise CliError(str(exc)) from exc
     _emit(
         report.to_json_obj(),
         args.format,
@@ -255,11 +251,11 @@ def cmd_sweep(args):
         checks = config.get("checks", list(CHECK_NAMES))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad sweep config: {exc}") from exc
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise CliError(f"unknown check {c!r}")
     params = _params_from_args(args, config)
-    report = run_sweep(spec, checks, params)
+    try:
+        report = run_sweep(spec, checks, params)
+    except ValueError as exc:  # an unknown check name, or a bad power
+        raise CliError(str(exc)) from exc
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         json_path = os.path.join(args.out, "report.json")
@@ -339,9 +335,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=False):
-        p.add_argument("--format", choices=("json", "text", "csv", "dot"),
-                       default="text")
+    def common(p, graph=False, formats=("json", "text")):
+        p.add_argument("--format", choices=formats, default="text")
         if graph:
             p.add_argument("--graph", required=True,
                            help="edge-list file ('n <count>' header, one edge per line)")
@@ -358,7 +353,7 @@ def build_parser():
     p.set_defaults(fn=cmd_regularity)
 
     p = sub.add_parser("colon", help="colon graph of (I^{s+1} : e_1...e_s)")
-    common(p, graph=True)
+    common(p, graph=True, formats=("json", "text", "dot"))
     p.add_argument("--edges", required=True, help="edge product, e.g. '1-2,2-3'")
     p.set_defaults(fn=cmd_colon)
 
@@ -367,12 +362,11 @@ def build_parser():
     p.add_argument("--checks", nargs="*", metavar="CHECK")
     p.add_argument("--s-values", dest="s_values", type=int, nargs="*")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=0)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="run a verification sweep from a config")
-    common(p)
+    common(p, formats=("json", "text", "csv"))
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="directory for report.json / report.csv")
     p.add_argument("--s-values", dest="s_values", type=int, nargs="*")

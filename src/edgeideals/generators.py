@@ -27,6 +27,7 @@ from .graphs import (
     Graph,
     GraphError,
     canonical_key,
+    certificate_conditions_hold,
     is_very_well_covered,
     matching_certificate_ok,
     odd_girth,
@@ -172,31 +173,14 @@ _BLOCK_PATTERNS = (
 )
 
 
-def _certificate_ok_masks(adj, m):
-    """Conditions (i) and (ii) on the matching (2i, 2i+1), via bitmasks."""
-    for i in range(m):
-        x, y = 2 * i, 2 * i + 1
-        if adj[x] & adj[y]:
-            return False
-        zmask = adj[x] & ~(1 << y)
-        wmask = adj[y] & ~(1 << x)
-        rem = zmask
-        while rem:
-            bit = rem & -rem
-            z = bit.bit_length() - 1
-            rem ^= bit
-            if wmask & ~(1 << z) & ~adj[z]:
-                return False
-    return True
-
-
 def _vwc_search(m):
     """All cross-edge assignments whose fixed matching certifies; yields
     frozensets of edges on 2m labeled vertices."""
+    matching = [(2 * i, 2 * i + 1) for i in range(m)]
     base = [0] * (2 * m)
-    for i in range(m):
-        base[2 * i] |= 1 << (2 * i + 1)
-        base[2 * i + 1] |= 1 << (2 * i)
+    for x, y in matching:
+        base[x] |= 1 << y
+        base[y] |= 1 << x
     out = []
 
     def place(t, adj, edges):
@@ -208,7 +192,7 @@ def _vwc_search(m):
         # violated condition there can never be repaired later.
         def assign(i, adj2, edges2):
             if i == t:
-                if _certificate_ok_masks(adj2, t + 1):
+                if certificate_conditions_hold(adj2, matching[: t + 1]):
                     place(t + 1, adj2, edges2)
                 return
             for pattern in _BLOCK_PATTERNS:
@@ -234,7 +218,7 @@ def _vwc_search(m):
 
         assign(0, adj, edges)
 
-    place(1, base, [(2 * i, 2 * i + 1) for i in range(m)])
+    place(1, base, matching)
     return out
 
 
@@ -272,6 +256,7 @@ def random_vwc_graph(m, density, seed):
     if not 0 <= density <= 1:
         raise GraphError("density must lie in [0, 1]")
     rng = random.Random(seed)
+    matching = [(2 * i, 2 * i + 1) for i in range(m)]
     slots = [
         (2 * i + a, 2 * j + b)
         for i in range(m)
@@ -281,9 +266,9 @@ def random_vwc_graph(m, density, seed):
     ]
     for _attempt in range(500):
         adj = [0] * (2 * m)
-        for i in range(m):
-            adj[2 * i] |= 1 << (2 * i + 1)
-            adj[2 * i + 1] |= 1 << (2 * i)
+        for x, y in matching:
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
         for u, v in slots:
             if rng.random() < density:
                 adj[u] |= 1 << v
@@ -294,8 +279,7 @@ def random_vwc_graph(m, density, seed):
         changed = True
         while changed:
             changed = False
-            for i in range(m):
-                x, y = 2 * i, 2 * i + 1
+            for x, y in matching:
                 zmask = adj[x] & ~(1 << y)
                 wmask = adj[y] & ~(1 << x)
                 rem = zmask
@@ -311,7 +295,7 @@ def random_vwc_graph(m, density, seed):
                         adj[z] |= 1 << w
                         adj[w] |= 1 << z
                         changed = True
-        if not _certificate_ok_masks(adj, m):
+        if not certificate_conditions_hold(adj, matching):
             continue  # condition (i) broke: resample
         edges = [
             (u, v)

@@ -9,7 +9,6 @@ which compares greater than every finite value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -79,14 +78,8 @@ class Graph:
     def sorted_edges(self):
         return tuple(sorted(self.edges))
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def has_edge(self, u, v):
         return _norm(u, v) in self.edges
-
-    def degree(self, v):
-        return len(self.adj[v])
 
     def isolated_vertices(self):
         return tuple(v for v in range(self.n) if not self.adj[v])
@@ -301,11 +294,27 @@ def _perfect_matchings(G):
     yield from rec(0, [])
 
 
+def certificate_conditions_hold(adj, matching):
+    """The two structural conditions on the edges (x, y) of a matching,
+    over adjacency bitmasks `adj`: (i) no matching edge lies in a
+    triangle, and (ii) whenever a matching edge is the central edge of a
+    length-3 path, the path's endpoints are adjacent."""
+    for x, y in matching:
+        if adj[x] & adj[y]:
+            return False  # common neighbor closes a triangle through (x, y)
+        wmask = adj[y] & ~(1 << x)
+        rem = adj[x] & ~(1 << y)
+        while rem:
+            bit = rem & -rem
+            rem ^= bit
+            if wmask & ~bit & ~adj[bit.bit_length() - 1]:
+                return False  # a path z-x-y-w with z, w not adjacent
+    return True
+
+
 def matching_certificate_ok(G, matching):
-    """Check the two structural conditions on a perfect matching:
-    (i) no matching edge lies in a triangle, and (ii) whenever a matching
-    edge is the central edge of a length-3 path, the path's endpoints are
-    adjacent."""
+    """True iff `matching` is a perfect matching of G that satisfies both
+    conditions of certificate_conditions_hold."""
     covered = set()
     for x, y in matching:
         if not G.has_edge(x, y):
@@ -315,25 +324,14 @@ def matching_certificate_ok(G, matching):
         covered.update((x, y))
     if len(covered) != G.n:
         return False
-    for x, y in matching:
-        if G.adj_mask[x] & G.adj_mask[y]:
-            return False  # common neighbor closes a triangle through (x, y)
-        for z in G.adj[x]:
-            if z == y:
-                continue
-            for w in G.adj[y]:
-                if w == x or w == z:
-                    continue
-                if not G.has_edge(z, w):
-                    return False
-    return True
+    return certificate_conditions_hold(G.adj_mask, matching)
 
 
 def find_vwc_certificate(G):
     """Search for a perfect matching certifying very-well-coveredness.
 
     Returns the lexicographically first perfect matching satisfying both
-    conditions of matching_certificate_ok, or None.
+    conditions of certificate_conditions_hold, or None.
     """
     if G.n == 0 or G.n % 2 or G.isolated_vertices():
         return None
@@ -341,25 +339,6 @@ def find_vwc_certificate(G):
         if matching_certificate_ok(G, M):
             return M
     return None
-
-
-def relabel(G, perm):
-    """Relabel vertices: perm[v] is the new label of v."""
-    return Graph(G.n, frozenset(_norm(perm[u], perm[v]) for u, v in G.edges))
-
-
-def disjoint_union(G, H):
-    shifted = [(u + G.n, v + G.n) for u, v in H.edges]
-    return Graph(G.n + H.n, frozenset(set(G.edges) | set(shifted)))
-
-
-def complement(G):
-    edges = [
-        (u, v)
-        for u, v in itertools.combinations(range(G.n), 2)
-        if not G.has_edge(u, v)
-    ]
-    return Graph(G.n, frozenset(edges))
 
 
 @lru_cache(maxsize=262144)
@@ -422,11 +401,6 @@ def canonical_key(G):
     vertex orderings compatible with iterated color refinement.  Two graphs
     are isomorphic iff their canonical keys are equal."""
     return _canonical_key(G.n, G.edges)
-
-
-def canonical_form(G):
-    n, edges = canonical_key(G)
-    return Graph(n, frozenset(edges))
 
 
 def are_isomorphic(G, H):

@@ -109,10 +109,6 @@ def matrix_rank_exact(rows):
     return rank
 
 
-def _popcount(x):
-    return bin(x).count("1")
-
-
 def boundary_rank(lower_faces, upper_faces):
     """Rank of the simplicial boundary map from upper_faces (dimension d)
     to lower_faces (dimension d-1), both given as bitmask lists."""
@@ -183,25 +179,19 @@ def _collapse(faces):
     return [f for f in S if f], 0 in S
 
 
-def reduced_homology_ranks(faces, has_empty_face=True):
+def reduced_homology_ranks(faces):
     """Reduced rational homology ranks of a complex.
 
     `faces` lists every nonempty face as a bitmask (closed under subsets).
     Returns {dimension: rank} with zero ranks omitted; dimension -1 appears
     (with rank 1) exactly for the complex whose only face is the empty one.
-    Passing has_empty_face=False encodes the void complex, which has no
-    homology at all.
     """
-    if not has_empty_face:
-        if faces:
-            raise ValueError("a complex with faces contains the empty face")
-        return {}
     faces, empty_left = _collapse(faces)
     if not empty_left:
         return {}  # collapsed to nothing: the complex was contractible
     by_dim = {}
     for f in faces:
-        by_dim.setdefault(_popcount(f) - 1, []).append(f)
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
     if not by_dim:
         return {-1: 1}
     top = max(by_dim)
@@ -245,90 +235,3 @@ def faces_from_nonfaces(nvertices, nonfaces, cap=None):
 
     extend(0, 0)
     return faces
-
-
-def closure_of_facets(facets, cap=None):
-    """All nonempty faces spanned by the given facet bitmasks."""
-    seen = set()
-    for top in facets:
-        stack = [top]
-        while stack:
-            f = stack.pop()
-            if not f or f in seen:
-                continue
-            seen.add(f)
-            if cap is not None and len(seen) > cap:
-                raise OverflowError("face closure exceeded cap")
-            rem = f
-            while rem:
-                bit = rem & -rem
-                sub = f ^ bit
-                if sub and sub not in seen:
-                    stack.append(sub)
-                rem ^= bit
-    return sorted(seen)
-
-
-class SimplicialComplex:
-    """A finite abstract simplicial complex over hashable vertices.
-
-    The public entry point for homology; internal engines work on bitmask
-    face lists directly.
-    """
-
-    def __init__(self, faces, vertices=None):
-        face_sets = {frozenset(f) for f in faces}
-        if vertices is None:
-            verts = sorted({v for f in face_sets for v in f})
-        else:
-            verts = sorted(vertices)
-        self.vertices = tuple(verts)
-        self._vindex = {v: i for i, v in enumerate(verts)}
-        self.faces = face_sets - {frozenset()}
-        self.has_empty_face = bool(face_sets)
-        for f in self.faces:
-            for v in f:
-                sub = f - {v}
-                if sub and sub not in self.faces:
-                    raise ValueError(f"faces not closed under subsets at {f}")
-
-    @classmethod
-    def from_facets(cls, facets):
-        masks = []
-        verts = sorted({v for f in facets for v in f})
-        vindex = {v: i for i, v in enumerate(verts)}
-        for f in facets:
-            masks.append(sum(1 << vindex[v] for v in f))
-        faces = closure_of_facets(masks)
-        return cls(
-            [
-                [verts[i] for i in range(len(verts)) if (m >> i) & 1]
-                for m in faces
-            ]
-            + [[]],
-            vertices=verts,
-        )
-
-    @classmethod
-    def void(cls):
-        return cls([])
-
-    def face_masks(self):
-        return [
-            sum(1 << self._vindex[v] for v in f) for f in sorted(self.faces, key=sorted)
-        ]
-
-    def euler_characteristic_reduced(self):
-        """Alternating face-count sum, including the empty face at -1."""
-        total = -1 if self.has_empty_face else 0
-        for f in self.faces:
-            total += (-1) ** (len(f) - 1)
-        return total
-
-
-def rational_homology(complex_):
-    """Reduced homology ranks over the rationals of a SimplicialComplex,
-    as a {dimension: rank} dict with zero ranks omitted."""
-    return reduced_homology_ranks(
-        complex_.face_masks(), has_empty_face=complex_.has_empty_face
-    )

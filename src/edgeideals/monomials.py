@@ -31,17 +31,14 @@ def lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def gcd(a, b):
-    return tuple(x if x < y else y for x, y in zip(a, b))
-
-
 def divides(a, b):
     """True iff monomial a divides monomial b."""
     return all(x <= y for x, y in zip(a, b))
 
 
 def colon_quotient(g, m):
-    """g / gcd(g, m), the colon contribution of generator g against m."""
+    """The colon contribution of generator g against m: each exponent of
+    g less that of m, floored at zero."""
     return tuple(x - y if x > y else 0 for x, y in zip(g, m))
 
 
@@ -64,30 +61,6 @@ def monomial_str(m):
         elif e > 1:
             parts.append(f"x{i}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def monomial_from_str(s, nvars):
-    m = [0] * nvars
-    s = s.strip()
-    if s == "1":
-        return tuple(m)
-    for part in s.split("*"):
-        if "^" in part:
-            var, exp = part.split("^")
-        else:
-            var, exp = part, "1"
-        if not var.startswith("x"):
-            raise IdealError(f"bad monomial token {part!r}")
-        try:
-            i, e = int(var[1:]), int(exp)
-        except ValueError:
-            raise IdealError(f"bad monomial token {part!r}") from None
-        if not 0 <= i < nvars:
-            raise IdealError(f"variable index {i} out of range for {nvars} variables")
-        if e < 0:
-            raise IdealError(f"negative exponent in token {part!r}")
-        m[i] += e
-    return tuple(m)
 
 
 @dataclass(frozen=True)
@@ -123,9 +96,6 @@ class MonomialIdeal:
 
     def gen_strings(self):
         return [monomial_str(g) for g in self.sorted_gens()]
-
-    def contains_monomial(self, m):
-        return any(divides(g, m) for g in self.gens)
 
 
 def minimalize(nvars, gens):
@@ -196,7 +166,8 @@ def power(I, s):
 
 
 def colon_by_monomial(I, m):
-    """The quotient ideal (I : m) for a monomial m: minimalize g/gcd(g,m)."""
+    """The quotient ideal (I : m) for a monomial m: the minimalized colon
+    contributions of I's generators."""
     if len(m) != I.nvars:
         raise IdealError("monomial arity does not match the ideal")
     return minimalize(I.nvars, {colon_quotient(g, m) for g in I.gens})

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from . import monomials as mon
-from .betti import DEFAULT_CAPS, CapacityError, regularity
+from .betti import CapacityError, regularity
 from .evenconn import colon_graph
 from .graphs import (
     INFINITE,
@@ -33,17 +33,6 @@ from .graphs import (
     induced_matching_number,
     is_very_well_covered,
     odd_girth,
-)
-
-CHECK_NAMES = (
-    "katzman",
-    "bht",
-    "main_theorem",
-    "main_theorem_hunter",
-    "colon_squarefree_oddgirth",
-    "lemma_colon_iteration",
-    "vwc_preservation",
-    "banerjee",
 )
 
 VERDICTS = ("pass", "fail", "skipped", "observation")
@@ -91,8 +80,8 @@ def _instance_id(G, **params):
     return " ".join(parts)
 
 
-def _og_str(G):
-    og = odd_girth(G)
+def odd_girth_json(og):
+    """An odd-girth as a JSON value: "inf" for a bipartite graph."""
     return "inf" if og == INFINITE else og
 
 
@@ -110,85 +99,86 @@ def derive_k(G, s):
 # ---------------------------------------------------------------------------
 
 
-def check_katzman(G, caps=DEFAULT_CAPS):
+def _skipped(name, inst, reason):
+    return CheckResult(name, inst, "skipped", {"reason": reason})
+
+
+def _odd_girth_below(G, bound):
+    """The skip reason when G's odd-girth is below `bound`, else None."""
+    og = odd_girth(G)
+    return f"odd-girth {og} < {bound}" if og < bound else None
+
+
+def check_katzman(G):
     """reg(I(G)) >= nu(G) + 1 on any graph with an edge."""
     inst = _instance_id(G)
     if not G.edges:
-        return CheckResult("katzman", inst, "skipped", {"reason": "no edges"})
+        return _skipped("katzman", inst, "no edges")
     nu = induced_matching_number(G)
     try:
-        reg = regularity(mon.edge_ideal(G), caps=caps)
+        reg = regularity(mon.edge_ideal(G))
     except CapacityError as exc:
-        return CheckResult("katzman", inst, "skipped", {"reason": str(exc)})
+        return _skipped("katzman", inst, str(exc))
     verdict = "pass" if reg >= nu + 1 else "fail"
     return CheckResult("katzman", inst, verdict, {"reg": reg, "nu": nu})
 
 
-def check_bht_lower_bound(G, s, caps=DEFAULT_CAPS):
+def check_bht_lower_bound(G, s):
     """reg(I(G)^s) >= 2s + nu(G) - 1."""
     inst = _instance_id(G, s=s)
     if not G.edges:
-        return CheckResult("bht", inst, "skipped", {"reason": "no edges"})
+        return _skipped("bht", inst, "no edges")
     if s < 1:
         raise ValueError("s must be positive")
     nu = induced_matching_number(G)
     try:
-        reg = regularity(mon.power(mon.edge_ideal(G), s), caps=caps)
+        reg = regularity(mon.power(mon.edge_ideal(G), s))
     except CapacityError as exc:
-        return CheckResult("bht", inst, "skipped", {"reason": str(exc)})
+        return _skipped("bht", inst, str(exc))
     bound = 2 * s + nu - 1
     verdict = "pass" if reg >= bound else "fail"
     return CheckResult("bht", inst, verdict, {"reg": reg, "bound": bound})
 
 
-def check_main_theorem(G, k, s, caps=DEFAULT_CAPS):
+def check_main_theorem(G, k, s):
     """reg(I(G)^s) == 2s + nu(G) - 1 for very well-covered G with
     odd-girth >= 2k+1, k >= 3, 1 <= s <= k-2."""
-    inst = _instance_id(G, k=k, s=s)
-    name = "main_theorem"
-    if k < 3:
-        return CheckResult(name, inst, "skipped", {"reason": "k < 3"})
-    if not 1 <= s <= k - 2:
-        return CheckResult(name, inst, "skipped", {"reason": "s outside 1..k-2"})
-    if not is_very_well_covered(G):
-        return CheckResult(
-            name, inst, "skipped", {"reason": "not very well-covered"}
-        )
-    if odd_girth(G) < 2 * k + 1:
-        return CheckResult(
-            name, inst, "skipped",
-            {"reason": f"odd-girth {_og_str(G)} < {2 * k + 1}"},
-        )
-    nu = induced_matching_number(G)
-    try:
-        reg = regularity(mon.power(mon.edge_ideal(G), s), caps=caps)
-    except CapacityError as exc:
-        return CheckResult(name, inst, "skipped", {"reason": str(exc)})
-    expected = 2 * s + nu - 1
-    verdict = "pass" if reg == expected else "fail"
-    return CheckResult(name, inst, verdict, {"reg": reg, "expected": expected})
+    return _main_theorem("main_theorem", _instance_id(G, k=k, s=s), G, s, k)
 
 
-def check_main_theorem_hunter(G, s, caps=DEFAULT_CAPS):
+def check_main_theorem_hunter(G, s):
     """Hypothesis-relaxed observation: does the equality hold for this
     very well-covered graph and power anyway?  Never a failure: whether
     the equality extends beyond s <= k-2 is an open question."""
-    inst = _instance_id(G, s=s)
-    name = "main_theorem_hunter"
+    return _main_theorem("main_theorem_hunter", _instance_id(G, s=s), G, s)
+
+
+def _main_theorem(name, inst, G, s, k=None):
+    """The body of both main-theorem checks.  Given k, every hypothesis
+    is gated and the verdict is pass or fail; without k, only very
+    well-coveredness is gated and the verdict is an observation."""
+    if k is not None and k < 3:
+        return _skipped(name, inst, "k < 3")
+    if k is not None and not 1 <= s <= k - 2:
+        return _skipped(name, inst, "s outside 1..k-2")
     if not is_very_well_covered(G):
-        return CheckResult(
-            name, inst, "skipped", {"reason": "not very well-covered"}
-        )
+        return _skipped(name, inst, "not very well-covered")
+    reason = k is not None and _odd_girth_below(G, 2 * k + 1)
+    if reason:
+        return _skipped(name, inst, reason)
     nu = induced_matching_number(G)
     try:
-        reg = regularity(mon.power(mon.edge_ideal(G), s), caps=caps)
+        reg = regularity(mon.power(mon.edge_ideal(G), s))
     except CapacityError as exc:
-        return CheckResult(name, inst, "skipped", {"reason": str(exc)})
+        return _skipped(name, inst, str(exc))
     expected = 2 * s + nu - 1
-    return CheckResult(
-        name, inst, "observation",
-        {"reg": reg, "expected": expected, "equal": reg == expected},
-    )
+    if k is None:
+        return CheckResult(
+            name, inst, "observation",
+            {"reg": reg, "expected": expected, "equal": reg == expected},
+        )
+    verdict = "pass" if reg == expected else "fail"
+    return CheckResult(name, inst, verdict, {"reg": reg, "expected": expected})
 
 
 def check_colon_squarefree_and_oddgirth(G, m, k):
@@ -198,13 +188,11 @@ def check_colon_squarefree_and_oddgirth(G, m, k):
     s = len(m)
     inst = _instance_id(G, m=m, k=k)
     name = "colon_squarefree_oddgirth"
-    if odd_girth(G) < 2 * k + 1:
-        return CheckResult(
-            name, inst, "skipped",
-            {"reason": f"odd-girth {_og_str(G)} < {2 * k + 1}"},
-        )
+    reason = _odd_girth_below(G, 2 * k + 1)
+    if reason:
+        return _skipped(name, inst, reason)
     if s > k - 1:
-        return CheckResult(name, inst, "skipped", {"reason": "s > k-1"})
+        return _skipped(name, inst, "s > k-1")
     cg = colon_graph(G, m)
     og = odd_girth(cg.edge_graph())
     bound = 2 * (k - s) + 1
@@ -213,7 +201,7 @@ def check_colon_squarefree_and_oddgirth(G, m, k):
         name, inst, "pass" if ok else "fail",
         {
             "squarefree": cg.is_squarefree,
-            "colon_odd_girth": "inf" if og == INFINITE else og,
+            "colon_odd_girth": odd_girth_json(og),
             "bound": bound,
         },
     )
@@ -226,11 +214,9 @@ def check_lemma_colon_iteration(G, m, i):
     s = len(m)
     inst = _instance_id(G, m=m, i=i)
     name = "lemma_colon_iteration"
-    if odd_girth(G) < 2 * s + 3:
-        return CheckResult(
-            name, inst, "skipped",
-            {"reason": f"odd-girth {_og_str(G)} < {2 * s + 3}"},
-        )
+    reason = _odd_girth_below(G, 2 * s + 3)
+    if reason:
+        return _skipped(name, inst, reason)
     I = mon.edge_ideal(G)
     lhs = mon.colon_by_monomial(
         mon.power(I, s + 1), mon.product_of_edges(G.n, m)
@@ -258,18 +244,14 @@ def check_vwc_preservation(G, m, k):
     inst = _instance_id(G, m=m, k=k)
     name = "vwc_preservation"
     if k < 3:
-        return CheckResult(name, inst, "skipped", {"reason": "k < 3"})
+        return _skipped(name, inst, "k < 3")
     if not is_very_well_covered(G):
-        return CheckResult(
-            name, inst, "skipped", {"reason": "not very well-covered"}
-        )
-    if odd_girth(G) < 2 * k + 1:
-        return CheckResult(
-            name, inst, "skipped",
-            {"reason": f"odd-girth {_og_str(G)} < {2 * k + 1}"},
-        )
+        return _skipped(name, inst, "not very well-covered")
+    reason = _odd_girth_below(G, 2 * k + 1)
+    if reason:
+        return _skipped(name, inst, reason)
     if s > k - 2:
-        return CheckResult(name, inst, "skipped", {"reason": "s > k-2"})
+        return _skipped(name, inst, "s > k-2")
     cg = colon_graph(G, m)
     Gp = cg.edge_graph()
     vwc = cg.is_squarefree and is_very_well_covered(Gp)
@@ -281,24 +263,24 @@ def check_vwc_preservation(G, m, k):
     )
 
 
-def check_banerjee_recursion(G, s, caps=DEFAULT_CAPS):
+def check_banerjee_recursion(G, s):
     """reg(I^{s+1}) <= max( max_l reg((I^{s+1}:m_l)) + 2s, reg(I^s) )
     over the minimal generators m_l of I^s."""
     inst = _instance_id(G, s=s)
     name = "banerjee"
     if not G.edges:
-        return CheckResult(name, inst, "skipped", {"reason": "no edges"})
+        return _skipped(name, inst, "no edges")
     I = mon.edge_ideal(G)
     Is = mon.power(I, s)
     Is1 = mon.power(I, s + 1)
     try:
-        lhs = regularity(Is1, caps=caps)
-        rhs = regularity(Is, caps=caps)
+        lhs = regularity(Is1)
+        rhs = regularity(Is)
         for m_l in Is.sorted_gens():
             colon = mon.colon_by_monomial(Is1, m_l)
-            rhs = max(rhs, regularity(colon, caps=caps) + 2 * s)
+            rhs = max(rhs, regularity(colon) + 2 * s)
     except CapacityError as exc:
-        return CheckResult(name, inst, "skipped", {"reason": str(exc)})
+        return _skipped(name, inst, str(exc))
     verdict = "pass" if lhs <= rhs else "fail"
     return CheckResult(name, inst, verdict, {"lhs": lhs, "rhs": rhs})
 
@@ -307,13 +289,49 @@ def check_banerjee_recursion(G, s, caps=DEFAULT_CAPS):
 # Sweeps.
 # ---------------------------------------------------------------------------
 
+# Each check's calls on one graph G, as (function, args) pairs, given the
+# powers S to try and multisets(s), the edge multisets of size s.
+CHECKS = {
+    "katzman": lambda G, S, multisets: [(check_katzman, (G,))],
+    "bht": lambda G, S, multisets: [
+        (check_bht_lower_bound, (G, s)) for s in S
+    ],
+    "main_theorem": lambda G, S, multisets: [
+        (check_main_theorem, (G, derive_k(G, s), s)) for s in S
+    ],
+    "main_theorem_hunter": lambda G, S, multisets: [
+        (check_main_theorem_hunter, (G, s)) for s in S
+    ],
+    "colon_squarefree_oddgirth": lambda G, S, multisets: [
+        (check_colon_squarefree_and_oddgirth, (G, m, k))
+        for s in S for k in [derive_k(G, s + 1)] for m in multisets(s)
+    ],
+    "lemma_colon_iteration": lambda G, S, multisets: [
+        (check_lemma_colon_iteration, (G, m, i))
+        for s in S for m in multisets(s)
+        for i in sorted(set(m.index(e) for e in m))
+    ],
+    "vwc_preservation": lambda G, S, multisets: [
+        (check_vwc_preservation, (G, m, k))
+        for s in S for k in [derive_k(G, s + 2)] for m in multisets(s)
+    ],
+    "banerjee": lambda G, S, multisets: [
+        (check_banerjee_recursion, (G, s)) for s in S
+    ],
+}
+
+CHECK_NAMES = tuple(CHECKS)
+
+# Edge multisets of size s <= 2 are taken exhaustively up to this many
+# edges, and sampled beyond it.
+MULTISET_EXHAUSTIVE_EDGE_LIMIT = 10
+
 
 @dataclass
 class SweepParams:
     s_values: tuple = (1, 2)
     seed: int = 0
     multiset_sample: int = 50
-    multiset_exhaustive_edge_limit: int = 10
     jobs: int = 1
     timings: bool = False
 
@@ -322,7 +340,7 @@ def _edge_multisets(G, s, params, instance_index):
     """Deterministic multiset quantification: exhaustive for s <= 2 on
     small edge sets, otherwise a seeded sample."""
     edges = list(G.sorted_edges)
-    if s <= 2 and len(edges) <= params.multiset_exhaustive_edge_limit:
+    if s <= 2 and len(edges) <= MULTISET_EXHAUSTIVE_EDGE_LIMIT:
         return list(itertools.combinations_with_replacement(edges, s))
     rng = random.Random(f"{params.seed}:{instance_index}:{s}")
     seen = set()
@@ -335,47 +353,17 @@ def _edge_multisets(G, s, params, instance_index):
 
 
 def _run_checks_on_instance(args):
-    G, idx, checks, params, caps = args
+    G, idx, checks, params = args
     results = []
-
-    def timed(fn, *a, **kw):
-        t0 = time.perf_counter()
-        res = fn(*a, **kw)
-        res.elapsed = time.perf_counter() - t0
-        results.append(res)
-
     for check in checks:
-        if check == "katzman":
-            timed(check_katzman, G, caps)
-        elif check == "bht":
-            for s in params.s_values:
-                timed(check_bht_lower_bound, G, s, caps)
-        elif check == "main_theorem":
-            for s in params.s_values:
-                timed(check_main_theorem, G, derive_k(G, s), s, caps)
-        elif check == "main_theorem_hunter":
-            for s in params.s_values:
-                timed(check_main_theorem_hunter, G, s, caps)
-        elif check == "colon_squarefree_oddgirth":
-            for s in params.s_values:
-                k = derive_k(G, s + 1)
-                for m in _edge_multisets(G, s, params, idx):
-                    timed(check_colon_squarefree_and_oddgirth, G, m, k)
-        elif check == "lemma_colon_iteration":
-            for s in params.s_values:
-                for m in _edge_multisets(G, s, params, idx):
-                    for i in sorted(set(m.index(e) for e in m)):
-                        timed(check_lemma_colon_iteration, G, m, i)
-        elif check == "vwc_preservation":
-            for s in params.s_values:
-                k = derive_k(G, s + 2)
-                for m in _edge_multisets(G, s, params, idx):
-                    timed(check_vwc_preservation, G, m, k)
-        elif check == "banerjee":
-            for s in params.s_values:
-                timed(check_banerjee_recursion, G, s, caps)
-        else:
-            raise ValueError(f"unknown check {check!r}")
+        calls = CHECKS[check](
+            G, params.s_values, lambda s: _edge_multisets(G, s, params, idx)
+        )
+        for fn, fn_args in calls:
+            t0 = time.perf_counter()
+            res = fn(*fn_args)
+            res.elapsed = time.perf_counter() - t0
+            results.append(res)
     return results
 
 
@@ -434,23 +422,23 @@ class SweepReport:
         return buf.getvalue()
 
 
-def run_sweep(spec, checks, params=None, caps=DEFAULT_CAPS):
+def run_sweep(spec, checks, params=None):
     """Apply each named check to every instance of the FamilySpec."""
-    return sweep_graphs(
-        spec.to_json_obj(), spec.instances(), checks, params, caps
-    )
+    return sweep_graphs(spec.to_json_obj(), spec.instances(), checks, params)
 
 
-def sweep_graphs(spec, graphs, checks, params=None, caps=DEFAULT_CAPS):
+def sweep_graphs(spec, graphs, checks, params=None):
     """Apply each named check to every graph in `graphs`, recording
     `spec`, a JSON object, as the stream's description.  Failures
     are collected, never raised; the report is deterministic for a fixed
     stream, checks, params, and version."""
     params = params or SweepParams()
     for check in checks:
-        if check not in CHECK_NAMES:
-            raise ValueError(f"unknown check {check!r}")
-    tasks = [(G, i, tuple(checks), params, caps) for i, G in enumerate(graphs)]
+        if check not in CHECKS:
+            raise ValueError(
+                f"unknown check {check!r}; available: {', '.join(CHECK_NAMES)}"
+            )
+    tasks = [(G, i, tuple(checks), params) for i, G in enumerate(graphs)]
     if params.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=params.jobs) as pool:
             chunks = list(pool.map(_run_checks_on_instance, tasks))

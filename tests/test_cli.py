@@ -31,6 +31,46 @@ def run(capsys, argv):
     return code, out
 
 
+def usage_error(argv):
+    """The exit code of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestFormats:
+    # Each command accepts only the formats it renders.
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [
+            ("analyze", "csv"),
+            ("analyze", "dot"),
+            ("regularity", "dot"),
+            ("regularity", "csv"),
+            ("verify", "csv"),
+            ("verify", "dot"),
+            ("colon", "csv"),
+        ],
+    )
+    def test_graph_commands_reject_unrendered_format(
+        self, capsys, graph_file, command, fmt
+    ):
+        argv = [command, "--graph", graph_file(cycle_graph(5)), "--format", fmt]
+        if command == "colon":
+            argv += ["--edges", "0-1"]
+        assert usage_error(argv) == 2
+
+    @pytest.mark.parametrize("fmt", ["dot", "csv"])
+    def test_generate_rejects_unrendered_format(self, capsys, fmt):
+        argv = ["generate", "--kind", "named", "--names", "P4", "--format", fmt]
+        assert usage_error(argv) == 2
+
+    def test_sweep_rejects_dot(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"family": {"kind": "named", "names": ["P4"]}}))
+        assert usage_error(["sweep", "--config", str(cfg), "--format", "dot"]) == 2
+
+
 class TestAnalyze:
     def test_json(self, capsys, graph_file):
         code, out = run(
@@ -256,6 +296,17 @@ class TestVerify:
             "edges": [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]],
         }
         assert obj["version"] == edgeideals.__version__
+
+    def test_jobs_is_not_an_option(self, capsys, graph_file):
+        # One graph never starts a worker pool, so verify has no --jobs.
+        argv = ["verify", "--graph", graph_file(cycle_graph(5)), "--jobs", "2"]
+        assert usage_error(argv) == 2
+
+    def test_nonpositive_power_is_an_input_error(self, capsys, graph_file):
+        argv = ["verify", "--graph", graph_file(cycle_graph(5)),
+                "--checks", "bht", "--s-values", "0"]
+        assert main(argv) == 2
+        assert "s must be positive" in capsys.readouterr().err
 
     def test_unknown_check(self, capsys, graph_file):
         assert (

@@ -47,7 +47,7 @@ class TestBasicFamilies:
         assert H.n == 10 and len(H.edges) == 10
         assert is_very_well_covered(H)
         # pendant structure: vertices 5..9 have degree 1
-        assert all(H.degree(5 + i) == 1 for i in range(5))
+        assert all(len(H.adj[5 + i]) == 1 for i in range(5))
 
     def test_named_graph(self):
         assert named_graph("P4") == path_graph(4)

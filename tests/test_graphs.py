@@ -14,9 +14,7 @@ from edgeideals.graphs import (
     Graph,
     GraphError,
     are_isomorphic,
-    canonical_form,
-    complement,
-    disjoint_union,
+    certificate_conditions_hold,
     find_vwc_certificate,
     from_edge_list,
     induced_matching_number,
@@ -25,8 +23,8 @@ from edgeideals.graphs import (
     matching_certificate_ok,
     maximal_independent_sets,
     odd_girth,
-    relabel,
     to_edge_list,
+    _perfect_matchings,
 )
 from edgeideals.generators import (
     complete_bipartite_graph,
@@ -95,6 +93,23 @@ def oracle_maximal_independent_sets(G):
     return sorted(out)
 
 
+def oracle_certificate_conditions(G, matching):
+    """Conditions (i) and (ii) on a matching, read off the edge set."""
+    for x, y in matching:
+        if G.adj[x] & G.adj[y]:
+            return False
+        for z in G.adj[x] - {y}:
+            for w in G.adj[y] - {x, z}:
+                if not G.has_edge(z, w):
+                    return False
+    return True
+
+
+def relabel(G, perm):
+    """G with each vertex v renamed perm[v]."""
+    return Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
 def random_graphs(seed, count, nmax=6):
     import random
 
@@ -132,6 +147,15 @@ class TestConstruction:
 
     def test_parse_roundtrip(self):
         G = cycle_graph(5)
+        assert from_edge_list(to_edge_list(G)) == G
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 2**28 - 1))
+    def test_parse_roundtrip_any_graph(self, n, mask):
+        # Any vertex count, isolated vertices included: the header keeps n.
+        pairs = itertools.combinations(range(n), 2)
+        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+        G = Graph.from_edges(n, edges)
         assert from_edge_list(to_edge_list(G)) == G
 
     def test_parse_comments_and_header(self):
@@ -272,6 +296,14 @@ class TestCertificates:
         G = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert not matching_certificate_ok(G, ((0, 1), (2, 3)))
 
+    def test_conditions_against_oracle(self):
+        # Every perfect matching of every small random graph.
+        for G in random_graphs(303, 80):
+            for M in _perfect_matchings(G):
+                assert certificate_conditions_hold(G.adj_mask, M) == (
+                    oracle_certificate_conditions(G, M)
+                )
+
     def test_characterization_matches_recognizer(self):
         # The certificate exists exactly for very well-covered graphs.
         for G in random_graphs(404, 60):
@@ -302,19 +334,6 @@ class TestIsomorphism:
         assert not are_isomorphic(
             Graph.from_edges(4, [(0, 1), (2, 3)]), path_graph(4)
         )
-
-    def test_canonical_form_is_fixed_point(self):
-        for G in random_graphs(606, 20):
-            C = canonical_form(G)
-            assert canonical_form(C) == C
-
-    def test_complement_involution(self):
-        for G in random_graphs(707, 20):
-            assert complement(complement(G)) == G
-
-    def test_disjoint_union(self):
-        G = disjoint_union(path_graph(2), path_graph(2))
-        assert G.n == 4 and len(G.edges) == 2
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**15 - 1), st.permutations(list(range(6))))

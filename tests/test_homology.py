@@ -9,13 +9,10 @@ from fractions import Fraction
 import pytest
 
 from edgeideals.homology import (
-    SimplicialComplex,
     _collapse,
     boundary_rank,
-    closure_of_facets,
     faces_from_nonfaces,
     matrix_rank_exact,
-    rational_homology,
     reduced_homology_ranks,
 )
 
@@ -141,11 +138,6 @@ class TestHomologyAnchors:
     def test_empty_face_only(self):
         assert reduced_homology_ranks(set()) == {-1: 1}
 
-    def test_void_complex(self):
-        assert reduced_homology_ranks(set(), has_empty_face=False) == {}
-        with pytest.raises(ValueError):
-            reduced_homology_ranks({1}, has_empty_face=False)
-
     def test_torus(self):
         # Moebius-Kantor 7-vertex triangulation: triangles {i, i+1, i+3}
         # and {i, i+2, i+3} mod 7.
@@ -161,24 +153,14 @@ class TestHomologyAnchors:
         assert counts == {1: 7, 2: 21, 3: 14}  # chi = 0
         assert reduced_homology_ranks(faces) == {1: 2, 2: 1}
 
-    def test_rational_homology_wrapper(self):
-        K = SimplicialComplex.from_facets([("a", "b"), ("b", "c"), ("a", "c")])
-        assert rational_homology(K) == {1: 1}
-        assert rational_homology(SimplicialComplex.void()) == {}
-
     def test_euler_characteristic_matches_homology(self):
         rng = random.Random(10)
         for _ in range(30):
             faces = random_face_set(rng, nmax=6)
-            verts = sorted(
-                {v for f in faces for v in range(8) if f >> v & 1}
-            )
-            K = SimplicialComplex(
-                [[v for v in verts if f >> v & 1] for f in faces] + [[]]
-            )
-            hom = rational_homology(K)
+            hom = reduced_homology_ranks(faces)
             chi = sum((-1) ** d * r for d, r in hom.items())
-            assert chi == K.euler_characteristic_reduced()
+            # The alternating face count, the empty face counted at -1.
+            assert chi == -1 + sum((-1) ** (f.bit_count() - 1) for f in faces)
 
 
 class TestCollapse:
@@ -232,17 +214,3 @@ class TestComplexFromNonfaces:
     def test_cap_raises(self):
         with pytest.raises(OverflowError):
             faces_from_nonfaces(10, frozenset(), cap=5)
-
-    def test_closure_of_facets(self):
-        got = set(closure_of_facets([mask((0, 1, 2))]))
-        assert got == closure_masks([(0, 1, 2)])
-
-
-class TestSimplicialComplexValidation:
-    def test_from_facets_closure(self):
-        K = SimplicialComplex.from_facets([(0, 1), (1, 2)])
-        assert frozenset({1}) in K.faces
-
-    def test_rejects_non_closed(self):
-        with pytest.raises(ValueError):
-            SimplicialComplex([(0, 1)])

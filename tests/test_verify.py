@@ -171,6 +171,22 @@ class TestSweep:
         )
         assert report.fail_count == 0
         assert {r.check for r in report.results} == set(CHECK_NAMES)
+        # C7 has odd-girth 7 but is not very well-covered; 7 edge products
+        # of size 1, each at one index.
+        tally = {
+            check: (counts["pass"], counts["skipped"])
+            for check, counts in report.summary.items()
+        }
+        assert tally == {
+            "banerjee": (1, 0),
+            "bht": (1, 0),
+            "colon_squarefree_oddgirth": (7, 0),
+            "katzman": (1, 0),
+            "lemma_colon_iteration": (7, 0),
+            "main_theorem": (0, 1),
+            "main_theorem_hunter": (0, 1),
+            "vwc_preservation": (0, 7),
+        }
 
     def test_graph_code_stable(self):
         assert graph_code(path_graph(4)) == graph_code(path_graph(4))
