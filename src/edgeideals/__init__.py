@@ -12,7 +12,6 @@ __version__ = "1.0.0"
 from .betti import (
     BettiTable,
     CapacityError,
-    Caps,
     EngineDisagreement,
     betti_table,
     betti_table_hochster,

@@ -19,21 +19,25 @@ homology is memoized globally.
 Tables are indexed on the ideal I, not R/I: reg(I) = reg(R/I) + 1.
 Everything is over the rationals via exact integer ranks.
 
-Both engines enforce explicit capacity caps and raise CapacityError rather
-than degrade silently.  `betti_table` runs each requested engine that fits
-its caps and requires the tables to agree when two answer.
+Both engines enforce the fixed capacity limits below and raise
+CapacityError rather than degrade silently.  `betti_table` runs each
+requested engine that fits its limits and requires the tables to agree
+when two answer.
+
+The component, interval and regularity memos are bounded `lru_cache`s, so
+their hits are readable from `cache_info()`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 from . import monomials as mon
 from .homology import faces_from_nonfaces, reduced_homology_ranks
 
 
 class CapacityError(RuntimeError):
-    """A computation exceeded its configured desk-scale cap."""
+    """A computation exceeded one of the desk-scale capacity limits."""
 
 
 class EngineDisagreement(RuntimeError):
@@ -50,20 +54,14 @@ class EngineDisagreement(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Capacity limits for the resolution engines."""
-
-    lcm_max_generators: int = 16
-    lcm_lattice_cap: int = 5000
-    lcm_face_cap: int = 70000
-    hochster_max_vars: int = 24
-    hochster_max_gens: int = 150
-    hochster_union_cap: int = 80000
-    homology_face_cap: int = 30000
-
-
-DEFAULT_CAPS = Caps()
+# Capacity limits, read at call time.
+LCM_MAX_GENERATORS = 16
+LCM_LATTICE_CAP = 5000
+LCM_FACE_CAP = 70000
+HOCHSTER_MAX_VARS = 24
+HOCHSTER_MAX_GENS = 150
+HOCHSTER_UNION_CAP = 80000
+HOMOLOGY_FACE_CAP = 30000
 
 
 class BettiTable:
@@ -135,9 +133,6 @@ def _check_ideal(I):
 # kills the product.
 # ---------------------------------------------------------------------------
 
-# Keyed on the face cap too: whether a component fits depends on it.
-_component_memo = {}
-
 
 def _ranks_to_poly(ranks):
     if not ranks:
@@ -182,7 +177,9 @@ def _nerve_faces(facets, full, cap):
     return faces
 
 
-def component_homology_poly(nvertices, nonfaces, caps=DEFAULT_CAPS):
+# Criterion 8 (all n <= 6) peaks at 9,900 entries, criterion 1 at 16,323.
+@lru_cache(maxsize=1 << 15)
+def component_homology_poly(nvertices, nonfaces):
     """Homology polynomial of the complex on 0..nvertices-1 with the given
     minimal nonfaces, every vertex lying in at least one nonface.
 
@@ -190,10 +187,6 @@ def component_homology_poly(nvertices, nonfaces, caps=DEFAULT_CAPS):
     (faces = subsets of nonface complements), whichever is smaller; over
     the rationals H~_d(complex) = H~_(n-d-3)(dual).
     """
-    key = (nvertices, nonfaces, caps.homology_face_cap)
-    hit = _component_memo.get(key)
-    if hit is not None:
-        return hit
     full = (1 << nvertices) - 1
     if nvertices <= 12:
         faces = faces_from_nonfaces(nvertices, nonfaces, cap=None)
@@ -208,24 +201,22 @@ def component_homology_poly(nvertices, nonfaces, caps=DEFAULT_CAPS):
         # cost is proportional to the nerve's actual face count.
         facets = [full ^ nf for nf in nonfaces if full ^ nf]
         try:
-            nerve = _nerve_faces(facets, full, caps.homology_face_cap)
+            nerve = _nerve_faces(facets, full, HOMOLOGY_FACE_CAP)
             dual = reduced_homology_ranks(nerve)
             ranks = {nvertices - 3 - d: r for d, r in dual.items()}
         except OverflowError:
             try:
                 faces = faces_from_nonfaces(
-                    nvertices, nonfaces, cap=caps.homology_face_cap
+                    nvertices, nonfaces, cap=HOMOLOGY_FACE_CAP
                 )
             except OverflowError:
                 raise CapacityError(
                     f"restricted complex on {nvertices} vertices exceeded "
-                    f"the face cap {caps.homology_face_cap} on both the "
+                    f"the face cap {HOMOLOGY_FACE_CAP} on both the "
                     f"primal and the dual-nerve route"
                 ) from None
             ranks = reduced_homology_ranks(faces)
-    poly = _ranks_to_poly(ranks)
-    _component_memo[key] = poly
-    return poly
+    return _ranks_to_poly(ranks)
 
 
 def _split_components(nonfaces):
@@ -283,14 +274,14 @@ def _localize(nonfaces):
     return len(verts), tuple(sorted(local))
 
 
-def restriction_homology_poly(nonfaces, caps=DEFAULT_CAPS):
+def restriction_homology_poly(nonfaces):
     """Homology polynomial of the complex whose minimal nonfaces are the
     given masks, on exactly the vertices those masks cover; factors over
     connected components (joins multiply homology polynomials)."""
     poly = (1,)  # neutral for the join product
     for comp in _split_components(nonfaces):
         c, local = _localize(comp)
-        p = component_homology_poly(c, local, caps)
+        p = component_homology_poly(c, local)
         if not p:
             return ()
         poly = _poly_mul(poly, p)
@@ -350,25 +341,24 @@ def _union_closure(masks, cap):
     return seen
 
 
-def betti_table_hochster(I, caps=DEFAULT_CAPS):
+def betti_table_hochster(I):
     """Graded Betti table of I via polarization and restriction homology."""
     _check_ideal(I)
-    if len(I.gens) > caps.hochster_max_gens:
+    if len(I.gens) > HOCHSTER_MAX_GENS:
         raise CapacityError(
             f"{len(I.gens)} generators exceed the Hochster generator cap "
-            f"{caps.hochster_max_gens}"
+            f"{HOCHSTER_MAX_GENS}"
         )
     npol, nonfaces = polarize(I)
-    if npol > caps.hochster_max_vars:
+    if npol > HOCHSTER_MAX_VARS:
         raise CapacityError(
-            f"{npol} polarized variables exceed the cap "
-            f"{caps.hochster_max_vars}"
+            f"{npol} polarized variables exceed the cap {HOCHSTER_MAX_VARS}"
         )
-    unions = _union_closure(nonfaces, caps.hochster_union_cap)
+    unions = _union_closure(nonfaces, HOCHSTER_UNION_CAP)
     entries = {}
     for w in unions:
         nfs = tuple(nf for nf in nonfaces if not (nf & ~w))
-        poly = restriction_homology_poly(nfs, caps)
+        poly = restriction_homology_poly(nfs)
         if not poly:
             continue
         j = w.bit_count()
@@ -388,7 +378,7 @@ def betti_table_hochster(I, caps=DEFAULT_CAPS):
 # ---------------------------------------------------------------------------
 
 
-def lcm_lattice(I, cap=DEFAULT_CAPS.lcm_lattice_cap):
+def lcm_lattice(I):
     """All least common multiples of nonempty generator subsets."""
     gens = I.sorted_gens()
     seen = set(gens)
@@ -400,59 +390,55 @@ def lcm_lattice(I, cap=DEFAULT_CAPS.lcm_lattice_cap):
                 u = mon.lcm(m, g)
                 if u not in seen:
                     seen.add(u)
-                    if len(seen) > cap:
+                    if len(seen) > LCM_LATTICE_CAP:
                         raise CapacityError(
-                            f"lcm lattice exceeded the cap {cap}"
+                            f"lcm lattice exceeded the cap {LCM_LATTICE_CAP}"
                         )
                     new.append(u)
         frontier = new
     return seen
 
 
-# Keyed on the face cap too: whether an interval fits depends on it.
-_interval_memo = {}
-
-
-def _crosscut_ranks(atoms, m, caps):
-    """Reduced homology of the crosscut complex of the interval below m:
-    vertices are the generators dividing m, faces the subsets whose lcm is
-    still below m.  Homotopy equivalent to the interval's order complex.
+# Criterion 8 (all n <= 6) peaks at 6,886 entries, criterion 1 at 3,468.
+@lru_cache(maxsize=1 << 15)
+def _crosscut_ranks(atoms):
+    """Reduced homology of the crosscut complex of the interval below
+    m = lcm(atoms): vertices are the generators dividing m, faces the
+    subsets whose lcm is still below m.  Homotopy equivalent to the
+    interval's order complex.
 
     A subset's lcm stays below m exactly when some variable has exponent
     below m's in every atom, so the complex is the nerve of the atoms'
-    slack masks (the variables where the atom is below m)."""
-    key = (atoms, caps.lcm_face_cap)
-    hit = _interval_memo.get(key)
-    if hit is not None:
-        return hit
+    slack masks (the variables where the atom is below m).  Keyed on the
+    atoms alone: a lattice element is the lcm of the generators dividing
+    it, so the atoms determine m."""
+    m = tuple(map(max, zip(*atoms)))
     slack = [
         sum(1 << v for v, (a, e) in enumerate(zip(atom, m)) if a < e)
         for atom in atoms
     ]
     try:
-        faces = _nerve_faces(slack, (1 << len(m)) - 1, caps.lcm_face_cap)
+        faces = _nerve_faces(slack, (1 << len(m)) - 1, LCM_FACE_CAP)
     except OverflowError:
         raise CapacityError(
-            f"crosscut complex exceeded the face cap {caps.lcm_face_cap}"
+            f"crosscut complex exceeded the face cap {LCM_FACE_CAP}"
         ) from None
-    ranks = reduced_homology_ranks(faces)
-    _interval_memo[key] = ranks
-    return ranks
+    return reduced_homology_ranks(faces)
 
 
-def betti_table_lcm(I, caps=DEFAULT_CAPS):
+def betti_table_lcm(I):
     """Graded Betti table of I via lcm-lattice interval homology."""
     _check_ideal(I)
-    if len(I.gens) > caps.lcm_max_generators:
+    if len(I.gens) > LCM_MAX_GENERATORS:
         raise CapacityError(
             f"{len(I.gens)} generators exceed the lcm-lattice cap "
-            f"{caps.lcm_max_generators}; use the Hochster engine"
+            f"{LCM_MAX_GENERATORS}; use the Hochster engine"
         )
     gens = I.sorted_gens()
     entries = {}
-    for m in lcm_lattice(I, caps.lcm_lattice_cap):
+    for m in lcm_lattice(I):
         atoms = tuple(g for g in gens if mon.divides(g, m))
-        ranks = _crosscut_ranks(atoms, m, caps)
+        ranks = _crosscut_ranks(atoms)
         j = mon.degree(m)
         for d, r in ranks.items():
             i = d + 1
@@ -473,8 +459,8 @@ def _check_engines(engines):
         )
 
 
-def betti_table(I, engines=("lcm", "hochster"), caps=DEFAULT_CAPS):
-    """Betti table of I from every listed engine that fits within caps.
+def betti_table(I, engines=("lcm", "hochster")):
+    """Betti table of I from every listed engine that fits its limits.
 
     Tables from two engines must agree entrywise, else EngineDisagreement.
     CapacityError only when no listed engine fits.  The returned table
@@ -488,7 +474,7 @@ def betti_table(I, engines=("lcm", "hochster"), caps=DEFAULT_CAPS):
         # reaches every engine run.
         fn = betti_table_lcm if name == "lcm" else betti_table_hochster
         try:
-            tables[name] = fn(I, caps)
+            tables[name] = fn(I)
         except CapacityError as exc:
             errors.append(exc)
     if not tables:
@@ -504,17 +490,9 @@ def betti_table(I, engines=("lcm", "hochster"), caps=DEFAULT_CAPS):
     return table
 
 
-_reg_cache = {}
-
-
-def regularity(I, engines=("lcm", "hochster"), caps=DEFAULT_CAPS):
-    """reg(I) = max{j - i} over the entries of betti_table(I, engines, caps);
-    memoized under the default caps."""
-    _check_engines(engines)
-    key = (I, engines) if caps is DEFAULT_CAPS else None
-    if key is not None and key in _reg_cache:
-        return _reg_cache[key]
-    reg = betti_table(I, engines, caps).regularity()
-    if key is not None:
-        _reg_cache[key] = reg
-    return reg
+# Each entry holds a whole ideal.  Criterion 8 (all n <= 6) peaks at 736
+# entries, criterion 1 at 62.
+@lru_cache(maxsize=1 << 12)
+def regularity(I, engines=("lcm", "hochster")):
+    """reg(I) = max{j - i} over the entries of betti_table(I, engines)."""
+    return betti_table(I, engines).regularity()

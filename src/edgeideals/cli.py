@@ -13,12 +13,7 @@ import os
 import sys
 
 from . import monomials as mon
-from .betti import (
-    DEFAULT_CAPS,
-    CapacityError,
-    EngineDisagreement,
-    betti_table,
-)
+from .betti import CapacityError, EngineDisagreement, betti_table
 from .evenconn import EvenConnectionError, colon_graph, colon_ideal_by_algebra
 from .generators import FamilySpec, GenerationError
 from .graphs import (
@@ -132,7 +127,7 @@ def cmd_regularity(args):
     I = mon.power(mon.edge_ideal(G), args.power)
     engines = ("lcm", "hochster") if args.engine == "both" else (args.engine,)
     try:
-        table = betti_table(I, engines, DEFAULT_CAPS)
+        table = betti_table(I, engines)
     except CapacityError as exc:
         raise CliError(f"capacity exceeded: {exc}") from exc
     obj = {
@@ -298,10 +293,7 @@ def cmd_generate(args):
             )
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    try:
-        graphs = spec.instances()
-    except (GraphError, GenerationError) as exc:
-        raise CliError(str(exc)) from exc
+    graphs = spec.instances()
     if args.format == "json":
         print(
             json.dumps(
@@ -398,7 +390,13 @@ def main(argv=None):
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
-    except (CliError, GraphError, mon.IdealError, EngineDisagreement) as exc:
+    except (
+        CliError,
+        GraphError,
+        GenerationError,
+        mon.IdealError,
+        EngineDisagreement,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except BrokenPipeError:

@@ -381,27 +381,34 @@ class FamilySpec:
 
     def instances(self):
         """The graph stream this spec describes, deterministically."""
+        count = self.cap
         if self.kind == "exhaustive-all":
             stream = enumerate_all_graphs(self.n)
-            if self.odd_girth_min is not None:
-                stream = [G for G in stream if odd_girth(G) >= self.odd_girth_min]
         elif self.kind == "exhaustive-vwc":
-            stream = enumerate_vwc_graphs(self.m, self.odd_girth_min)
+            stream = enumerate_vwc_graphs(self.m)
         elif self.kind == "random-vwc":
-            count = self.cap if self.cap is not None else 20
-            stream = []
-            for k in range(count * 20):
-                G = random_vwc_graph(self.m, self.density, self.seed + k)
-                if self.odd_girth_min is not None:
-                    if odd_girth(G) < self.odd_girth_min:
-                        continue
-                stream.append(G)
-                if len(stream) == count:
-                    break
+            count = count or 20
+            stream = self._random_vwc(range(self.seed, self.seed + 20 * count))
         else:
             stream = [named_graph(name) for name in self.names]
-            if self.odd_girth_min is not None:
-                stream = [G for G in stream if odd_girth(G) >= self.odd_girth_min]
-        if self.cap is not None:
-            stream = stream[: self.cap]
-        return stream
+        if self.odd_girth_min is not None:
+            stream = (G for G in stream if odd_girth(G) >= self.odd_girth_min)
+        return list(itertools.islice(stream, count))
+
+    def _random_vwc(self, seeds):
+        """One graph per seed, skipping seeds that exhaust their attempt
+        budget; GenerationError only when no seed gives a graph."""
+        found = False
+        for seed in seeds:
+            try:
+                G = random_vwc_graph(self.m, self.density, seed)
+            except GenerationError:
+                continue
+            found = True
+            yield G
+        if not found:
+            raise GenerationError(
+                f"no very well-covered graph found for m={self.m}, "
+                f"density={self.density} at any seed in "
+                f"{seeds.start}..{seeds.stop - 1}"
+            )

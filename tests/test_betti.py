@@ -9,7 +9,6 @@ from edgeideals import betti
 from edgeideals.betti import (
     BettiTable,
     CapacityError,
-    Caps,
     EngineDisagreement,
     betti_table,
     betti_table_hochster,
@@ -163,17 +162,17 @@ class TestStructure:
 
 class TestRegularity:
     def test_cross_validate(self, monkeypatch):
-        # The default runs both engines; Caps() is not the memoized
-        # DEFAULT_CAPS object, so nothing is answered from the cache.
+        # The default runs both engines; the cleared memo answers nothing.
         calls = []
         hochster = betti.betti_table_hochster
 
-        def counted(I, caps):
+        def counted(I):
             calls.append(I)
-            return hochster(I, caps)
+            return hochster(I)
 
         monkeypatch.setattr(betti, "betti_table_hochster", counted)
-        assert regularity(I_of(cycle_graph(5)), caps=Caps()) == 3
+        regularity.cache_clear()
+        assert regularity(I_of(cycle_graph(5))) == 3
         assert len(calls) == 1
 
     def test_engine_choices(self):
@@ -198,20 +197,19 @@ class TestEngineRule:
         assert T.regularity() == 2
 
     def test_one_engine_request_raises_its_own_error(self):
-        I = I_of(path_graph(4))
-        with pytest.raises(CapacityError, match="^3 generators exceed"):
-            betti_table(I, ("lcm",), Caps(lcm_max_generators=2))
-        with pytest.raises(CapacityError, match="^4 polarized variables"):
-            betti_table(I, ("hochster",), Caps(hochster_max_vars=3))
+        with pytest.raises(CapacityError, match="^18 generators exceed"):
+            betti_table(I_of(complete_bipartite_graph(3, 6)), ("lcm",))
+        with pytest.raises(CapacityError, match="^25 polarized variables"):
+            betti_table(I_of(path_graph(25)), ("hochster",))
 
     def test_both_over_cap(self):
-        caps = Caps(lcm_max_generators=2, hochster_max_vars=3)
+        # I(P26): 25 generators and 26 polarized variables.
         with pytest.raises(CapacityError, match="^both engines over capacity"):
-            betti_table(I_of(path_graph(4)), caps=caps)
+            betti_table(I_of(path_graph(26)))
 
     def test_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(
-            betti, "betti_table_hochster", lambda I, caps: BettiTable({(0, 2): 9})
+            betti, "betti_table_hochster", lambda I: BettiTable({(0, 2): 9})
         )
         with pytest.raises(EngineDisagreement):
             betti_table(I_of(path_graph(4)))
@@ -220,50 +218,46 @@ class TestEngineRule:
         assert BettiTable({(0, 2): 1}, ("lcm",)) == BettiTable({(0, 2): 1})
 
     def test_crosscut_face_cap(self, monkeypatch):
-        monkeypatch.setattr(betti, "_interval_memo", {})
+        betti._crosscut_ranks.cache_clear()
+        monkeypatch.setattr(betti, "LCM_FACE_CAP", 1)
         with pytest.raises(CapacityError, match="crosscut complex exceeded"):
-            betti_table_lcm(I_of(cycle_graph(5)), Caps(lcm_face_cap=1))
+            betti_table_lcm(I_of(cycle_graph(5)))
 
 
-class TestMemoKeys:
-    """A memoized result from a looser face cap must not leak into a run
-    under a tighter one: each memo's key carries the cap it enforces."""
-
-    def test_interval_memo_respects_lcm_face_cap(self, monkeypatch):
-        monkeypatch.setattr(betti, "_interval_memo", {})
+class TestMemos:
+    def test_memos_are_bounded_and_count_hits(self):
+        for memo in (
+            betti.component_homology_poly,
+            betti._crosscut_ranks,
+            regularity,
+        ):
+            assert memo.cache_info().maxsize is not None
         I = I_of(cycle_graph(5))
-        assert betti_table_lcm(I).regularity() == 3
-        with pytest.raises(CapacityError, match="crosscut complex exceeded"):
-            betti_table_lcm(I, Caps(lcm_face_cap=1))
-
-    def test_component_memo_respects_homology_face_cap(self, monkeypatch):
-        monkeypatch.setattr(betti, "_component_memo", {})
-        # The independence complex of the path on 13 vertices: over 12
-        # vertices, so the face cap applies to both routes.
-        nonfaces = tuple((1 << v) | (1 << (v + 1)) for v in range(12))
-        assert betti.component_homology_poly(13, nonfaces) == ()
-        with pytest.raises(CapacityError, match="face cap 5"):
-            betti.component_homology_poly(
-                13, nonfaces, Caps(homology_face_cap=5)
-            )
+        regularity.cache_clear()
+        regularity(I)
+        regularity(I)
+        assert regularity.cache_info().hits == 1
 
 
 class TestCaps:
     def test_lcm_generator_cap(self):
-        caps = Caps(lcm_max_generators=2)
+        # I(K3,6) has 18 generators, over the lcm cap of 16.
         with pytest.raises(CapacityError):
-            betti_table_lcm(I_of(path_graph(4)), caps=caps)
+            betti_table_lcm(I_of(complete_bipartite_graph(3, 6)))
 
     def test_hochster_var_cap(self):
-        caps = Caps(hochster_max_vars=3)
+        # I(P25) polarizes to 25 variables, over the cap of 24.
         with pytest.raises(CapacityError):
-            betti_table_hochster(I_of(path_graph(4)), caps=caps)
+            betti_table_hochster(I_of(path_graph(25)))
 
-    def test_two_engine_request_falls_back(self):
-        caps = Caps(lcm_max_generators=2)
-        T = betti_table(I_of(path_graph(4)), caps=caps)
-        assert T.engines == ("hochster",)
-        assert T.regularity() == 2
+    def test_homology_face_cap(self, monkeypatch):
+        # The independence complex of the path on 13 vertices: over 12
+        # vertices, so the face cap applies to both routes.
+        nonfaces = tuple((1 << v) | (1 << (v + 1)) for v in range(12))
+        betti.component_homology_poly.cache_clear()
+        monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 5)
+        with pytest.raises(CapacityError, match="face cap 5"):
+            betti.component_homology_poly(13, nonfaces)
 
     def test_engine_disagreement_repr(self):
         I = I_of(path_graph(3))

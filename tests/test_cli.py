@@ -181,12 +181,12 @@ class TestRegularity:
         calls = []
         lcm = betti.betti_table_lcm
 
-        def counted(I, caps):
+        def counted(I):
             calls.append(I)
-            return lcm(I, caps)
+            return lcm(I)
 
         monkeypatch.setattr(betti, "betti_table_lcm", counted)
-        monkeypatch.setattr(betti, "_reg_cache", {})
+        betti.regularity.cache_clear()
         code, _ = run(capsys, ["regularity", "--graph", graph_file(path_graph(4))])
         assert code == 0 and len(calls) == 1
 
@@ -367,6 +367,13 @@ class TestSweep:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["sweep", "--config", str(path)]) == 2
+
+    def test_generation_error_exits_2(self, capsys, tmp_path):
+        # Density 1 proposes every cross edge, so no seed gives a graph.
+        family = {"kind": "random-vwc", "m": 2, "density": 1.0, "cap": 1}
+        cfg = self._config(tmp_path, {"family": family})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: no very well-covered")
 
     def test_unknown_check_in_config(self, capsys, tmp_path):
         cfg = self._config(

@@ -7,6 +7,7 @@ import pytest
 
 from edgeideals.generators import (
     FamilySpec,
+    GenerationError,
     complete_bipartite_graph,
     complete_graph,
     corona,
@@ -168,6 +169,19 @@ class TestFamilySpec:
         gs = spec.instances()
         assert len(gs) == 4 and all(is_very_well_covered(G) for G in gs)
         assert gs == FamilySpec(kind="random-vwc", m=2, seed=7, cap=4).instances()
+
+    def test_random_vwc_skips_exhausted_seeds(self):
+        # Seeds 0, 1 and 2 exhaust their attempt budget; seed 3 does not.
+        with pytest.raises(GenerationError):
+            random_vwc_graph(4, 0.6, 0)
+        spec = FamilySpec(kind="random-vwc", m=4, density=0.6, seed=0, cap=1)
+        assert spec.instances() == [random_vwc_graph(4, 0.6, 3)]
+
+    def test_random_vwc_no_seed_gives_a_graph(self):
+        # Density 1 proposes every cross edge, so condition (i) always fails.
+        spec = FamilySpec(kind="random-vwc", m=2, density=1.0, seed=0, cap=1)
+        with pytest.raises(GenerationError, match="any seed in 0..19"):
+            spec.instances()
 
     def test_validation(self):
         with pytest.raises(ValueError):
