@@ -213,25 +213,47 @@ def reduced_homology_ranks(faces):
 
 def faces_from_nonfaces(nvertices, nonfaces, cap=None):
     """All nonempty faces of the complex on 0..nvertices-1 whose minimal
-    nonfaces are the given bitmasks.  Raises OverflowError past `cap`."""
-    by_vertex = [[] for _ in range(nvertices)]
+    nonfaces are the given bitmasks.  Raises OverflowError past `cap`.
+
+    The DFS only adds a vertex above every vertex already in the face, so
+    a nonface can block vertex v only when v is its top vertex; each
+    nonface is indexed there, without v.  A one-vertex nonface drops v,
+    two-vertex nonfaces fold into one mask per vertex, and larger ones
+    stay a list of masks."""
+    pair = [0] * nvertices
+    rests = [[] for _ in range(nvertices)]
+    banned = 0
     for nf in nonfaces:
-        rem = nf
-        while rem:
-            bit = rem & -rem
-            by_vertex[bit.bit_length() - 1].append(nf)
-            rem ^= bit
+        if not nf:
+            continue
+        top = nf.bit_length() - 1
+        rest = nf ^ (1 << top)
+        if not rest:
+            banned |= 1 << top
+        elif rest & (rest - 1):
+            rests[top].append(rest)
+        else:
+            pair[top] |= rest
+    verts = [
+        (1 << v, pair[v], rests[v])
+        for v in range(nvertices)
+        if not banned >> v & 1
+    ]
+    k = len(verts)
     faces = []
 
     def extend(face, start):
-        for v in range(start, nvertices):
-            newf = face | (1 << v)
-            if any(not (nf & ~newf) for nf in by_vertex[v]):
+        for i in range(start, k):
+            bit, pmask, rs = verts[i]
+            if face & pmask:
                 continue
+            if rs and any(r & face == r for r in rs):
+                continue
+            newf = face | bit
             faces.append(newf)
             if cap is not None and len(faces) > cap:
                 raise OverflowError("face enumeration exceeded cap")
-            extend(newf, v + 1)
+            extend(newf, i + 1)
 
     extend(0, 0)
     return faces

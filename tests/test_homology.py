@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeideals.homology import (
@@ -205,22 +205,32 @@ class TestCollapse:
         assert not empty_left and not collapsed
 
 
+nonface_sets = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=8)
+    )
+)
+
+
 class TestComplexFromNonfaces:
-    def test_against_bruteforce(self):
-        rng = random.Random(9)
-        for _ in range(40):
-            n = rng.randint(1, 6)
-            nonfaces = frozenset(
-                mask(rng.sample(range(n), rng.randint(1, n)))
-                for _ in range(rng.randint(0, 4))
+    @settings(max_examples=200, deadline=None)
+    @given(nonface_sets)
+    @example((3, [0b010]))  # a one-vertex nonface
+    @example((4, [0b0011, 0b0111, 0b1110]))  # a non-minimal nonface
+    def test_against_bruteforce(self, case):
+        # Every subset containing no nonface, listed in the DFS order:
+        # lexicographic on the sorted vertex tuples.
+        n, nonfaces = case
+        expected = [
+            mask(c)
+            for c in sorted(
+                c
+                for r in range(1, n + 1)
+                for c in itertools.combinations(range(n), r)
             )
-            got = set(faces_from_nonfaces(n, nonfaces))
-            expected = {
-                m
-                for m in range(1, 1 << n)
-                if not any(nf & m == nf for nf in nonfaces)
-            }
-            assert got == expected
+            if not any(nf & mask(c) == nf for nf in nonfaces)
+        ]
+        assert faces_from_nonfaces(n, nonfaces) == expected
 
     def test_cap_raises(self):
         with pytest.raises(OverflowError):
