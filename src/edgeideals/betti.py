@@ -21,7 +21,10 @@ Stanley-Reisner complex.  Only subsets that are unions of minimal nonfaces
 can carry homology (anything else restricts to a cone), so the sweep runs
 over the union closure of the generator supports.  Restrictions decompose
 as joins over connected components of their nonfaces, and component
-homology is memoized globally.
+homology is memoized globally.  The sweep goes from the largest
+restriction down, so the full support, often the first to exceed the face
+cap, is tried first; the order cannot change a table (entries are sums) or
+whether an ideal raises (a restriction raises or not on its own).
 
 Tables are indexed on the ideal I, not R/I: reg(I) = reg(R/I) + 1.
 Everything is over the rationals via exact integer ranks.
@@ -330,26 +333,32 @@ def polarize(I):
 
 
 def _union_closure(masks, cap):
-    seen = set(masks)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for w in frontier:
-            for nf in masks:
-                u = w | nf
-                if u not in seen:
-                    seen.add(u)
-                    if len(seen) > cap:
-                        raise CapacityError(
-                            f"union closure exceeded the cap {cap}"
-                        )
-                    new.append(u)
-        frontier = new
+    """The unions of every nonempty subset of `masks`, one mask at a time:
+    after each mask the set holds every union of the masks so far.
+
+    Raises CapacityError exactly when the closure has more than `cap`
+    elements.  The masks themselves count toward the cap like every other
+    union, and the set only grows, so checking after each mask suffices."""
+    seen = set()
+    for nf in masks:
+        seen |= {w | nf for w in seen}
+        seen.add(nf)
+        if len(seen) > cap:
+            raise CapacityError(f"union closure exceeded the cap {cap}")
     return seen
 
 
 def betti_table_hochster(I):
-    """Graded Betti table of I via polarization and restriction homology."""
+    """Graded Betti table of I via polarization and restriction homology.
+
+    The restrictions are swept largest first, so the full support comes
+    first, and where its complex is over the face cap the ideal raises on
+    the first restriction it tries.  The order changes nothing else:
+    entries are sums, and whether a restriction raises depends on that
+    restriction alone (the component memo keeps only successes), so the
+    ideal raises exactly when some restriction does, whatever the order
+    or the vertex labels.
+    """
     _check_ideal(I)
     if len(I.gens) > HOCHSTER_MAX_GENS:
         raise CapacityError(
@@ -363,7 +372,7 @@ def betti_table_hochster(I):
         )
     unions = _union_closure(nonfaces, HOCHSTER_UNION_CAP)
     entries = {}
-    for w in unions:
+    for w in sorted(unions, key=int.bit_count, reverse=True):
         nfs = tuple(nf for nf in nonfaces if not (nf & ~w))
         poly = restriction_homology_poly(nfs)
         if not poly:

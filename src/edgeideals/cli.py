@@ -1,8 +1,8 @@
 """Command-line front door.
 
 Thin adapters only: every computation lives behind the library modules.
-Exit codes: 0 success / no failures, 1 verification failures found,
-2 input or configuration error.
+Exit codes: 0 success / no failures, 1 verification failures or engine
+errors found, 2 input or configuration error.
 """
 
 from __future__ import annotations
@@ -215,7 +215,11 @@ def cmd_verify(args):
         args.format,
         lambda o: _render_report_text(report),
     )
-    return EXIT_FAIL if report.fail_count else EXIT_OK
+    return _exit_code(report)
+
+
+def _exit_code(report):
+    return EXIT_FAIL if report.fail_count or report.errors() else EXIT_OK
 
 
 def _render_report_text(report):
@@ -227,6 +231,8 @@ def _render_report_text(report):
         )
     for r in report.failures():
         lines.append(f"FAIL {r.check} {r.instance} {r.values}")
+    for r in report.errors():
+        lines.append(f"ERROR {r.check} {r.instance} {r.values}")
     lines.append(f"total failures: {report.fail_count}")
     return "\n".join(lines)
 
@@ -267,7 +273,7 @@ def cmd_sweep(args):
         print(report.to_json(), end="")
     else:
         print(_render_report_text(report))
-    return EXIT_FAIL if report.fail_count else EXIT_OK
+    return _exit_code(report)
 
 
 def cmd_generate(args):

@@ -8,8 +8,8 @@ never a vacuous "pass".  A "fail" is a counterexample to a published
 theorem and carries both measured sides.  Capacity overruns skip.
 
 Regularities computed here use both Betti engines: each one within caps
-runs, and when both do their tables must agree entrywise (a mismatch
-raises EngineDisagreement rather than producing a verdict).
+runs, and when both do their tables must agree entrywise.  A mismatch is
+verdict "error", carrying both tables, and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from . import monomials as mon
-from .betti import CapacityError, regularity
+from .betti import CapacityError, EngineDisagreement, regularity
 from .evenconn import colon_graph
 from .graphs import (
     INFINITE,
@@ -35,7 +35,7 @@ from .graphs import (
     odd_girth,
 )
 
-VERDICTS = ("pass", "fail", "skipped", "observation")
+VERDICTS = ("pass", "fail", "skipped", "observation", "error")
 
 
 @dataclass
@@ -49,8 +49,9 @@ class CheckResult:
     def __post_init__(self):
         if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "skipped" and "reason" not in self.values:
-            raise ValueError("skipped verdicts must name the unmet hypothesis")
+        needs_reason = self.verdict in ("skipped", "error")
+        if needs_reason and "reason" not in self.values:
+            raise ValueError(f"{self.verdict} verdicts must name a reason")
 
     def to_json_obj(self, timings=False):
         obj = {
@@ -103,6 +104,19 @@ def _skipped(name, inst, reason):
     return CheckResult(name, inst, "skipped", {"reason": reason})
 
 
+def _unanswered(name, inst, exc):
+    """The verdict when the engines give no regularity: a capacity skip,
+    or, when they disagree, an error carrying both tables."""
+    if isinstance(exc, CapacityError):
+        return _skipped(name, inst, str(exc))
+    return CheckResult(name, inst, "error", {
+        "reason": "Betti engines disagree",
+        "ideal": exc.ideal.gen_strings(),
+        "lcm": exc.table_lcm.rows(),
+        "hochster": exc.table_hochster.rows(),
+    })
+
+
 def _odd_girth_below(G, bound):
     """The skip reason when G's odd-girth is below `bound`, else None."""
     og = odd_girth(G)
@@ -117,8 +131,8 @@ def check_katzman(G):
     nu = induced_matching_number(G)
     try:
         reg = regularity(mon.edge_ideal(G))
-    except CapacityError as exc:
-        return _skipped("katzman", inst, str(exc))
+    except (CapacityError, EngineDisagreement) as exc:
+        return _unanswered("katzman", inst, exc)
     verdict = "pass" if reg >= nu + 1 else "fail"
     return CheckResult("katzman", inst, verdict, {"reg": reg, "nu": nu})
 
@@ -133,8 +147,8 @@ def check_bht_lower_bound(G, s):
     nu = induced_matching_number(G)
     try:
         reg = regularity(mon.power(mon.edge_ideal(G), s))
-    except CapacityError as exc:
-        return _skipped("bht", inst, str(exc))
+    except (CapacityError, EngineDisagreement) as exc:
+        return _unanswered("bht", inst, exc)
     bound = 2 * s + nu - 1
     verdict = "pass" if reg >= bound else "fail"
     return CheckResult("bht", inst, verdict, {"reg": reg, "bound": bound})
@@ -169,8 +183,8 @@ def _main_theorem(name, inst, G, s, k=None):
     nu = induced_matching_number(G)
     try:
         reg = regularity(mon.power(mon.edge_ideal(G), s))
-    except CapacityError as exc:
-        return _skipped(name, inst, str(exc))
+    except (CapacityError, EngineDisagreement) as exc:
+        return _unanswered(name, inst, exc)
     expected = 2 * s + nu - 1
     if k is None:
         return CheckResult(
@@ -279,8 +293,8 @@ def check_banerjee_recursion(G, s):
         for m_l in Is.sorted_gens():
             colon = mon.colon_by_monomial(Is1, m_l)
             rhs = max(rhs, regularity(colon) + 2 * s)
-    except CapacityError as exc:
-        return _skipped(name, inst, str(exc))
+    except (CapacityError, EngineDisagreement) as exc:
+        return _unanswered(name, inst, exc)
     verdict = "pass" if lhs <= rhs else "fail"
     return CheckResult(name, inst, verdict, {"lhs": lhs, "rhs": rhs})
 
@@ -382,7 +396,9 @@ class SweepReport:
                 res.check,
                 {"pass": 0, "fail": 0, "skipped": 0, "observation": 0},
             )
-            tally[res.verdict] += 1
+            # "error" is tallied only where one occurred, so reports
+            # without errors keep their bytes.
+            tally[res.verdict] = tally.get(res.verdict, 0) + 1
         return dict(sorted(out.items()))
 
     @property
@@ -391,6 +407,9 @@ class SweepReport:
 
     def failures(self):
         return [r for r in self.results if r.verdict == "fail"]
+
+    def errors(self):
+        return [r for r in self.results if r.verdict == "error"]
 
     def to_json_obj(self):
         return {

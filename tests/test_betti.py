@@ -1,8 +1,11 @@
 """Betti table tests: both engines against paper-level anchors and each
 other, the lcm engine's interval complexes against their definitions, plus
-polarization invariance and capacity behavior."""
+polarization invariance, the Hochster union closure and sweep order, and
+capacity behavior."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -24,10 +27,12 @@ from edgeideals.betti import (
 from edgeideals.generators import (
     complete_bipartite_graph,
     complete_graph,
+    corona,
     cycle_graph,
     path_graph,
     random_graph,
 )
+from edgeideals.graphs import Graph
 from edgeideals.homology import reduced_homology_ranks
 from edgeideals.monomials import MonomialIdeal, edge_ideal, minimalize, power
 
@@ -215,6 +220,66 @@ class TestIntervals:
         # Hochster takes 0.2-5 s per ideal past 10 polarized variables.
         if polarize(I)[0] <= 10:
             assert betti_table_lcm(I) == betti_table_hochster(I)
+
+
+class TestHochsterSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=12)
+        ),
+        st.data(),
+    )
+    def test_union_closure_against_bruteforce(self, masks, data):
+        # Duplicates are allowed; the cap counts every distinct union,
+        # the masks themselves included.
+        oracle = {
+            functools.reduce(operator.or_, sub)
+            for r in range(1, len(masks) + 1)
+            for sub in itertools.combinations(masks, r)
+        }
+        cap = data.draw(st.integers(0, len(oracle) + 1))
+        if len(oracle) > cap:
+            with pytest.raises(CapacityError, match="union closure"):
+                betti._union_closure(masks, cap)
+        else:
+            assert betti._union_closure(masks, cap) == oracle
+
+    def test_cap_trip_names_the_full_support(self):
+        # corona(C5)^2 polarizes to 20 variables in one component, over
+        # the face cap; the full support trips first under any labels.
+        G = corona(cycle_graph(5))
+        perms = [list(range(G.n))]
+        for seed in range(3):
+            perm = list(range(G.n))
+            random.Random(seed).shuffle(perm)
+            perms.append(perm)
+        for perm in perms:
+            H = Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+            with pytest.raises(CapacityError, match="on 20 vertices"):
+                betti_table_hochster(power(I_of(H), 2))
+
+    def test_first_restriction_is_the_full_support(self, monkeypatch):
+        calls = []
+
+        class Stop(Exception):
+            pass
+
+        def record(nonfaces):
+            calls.append(nonfaces)
+            raise Stop
+
+        monkeypatch.setattr(betti, "restriction_homology_poly", record)
+        rng = random.Random(14)
+        for _ in range(10):
+            G = random_graph(rng.randint(2, 7), 0.5, seed=rng.randint(0, 99))
+            I = power(I_of(G), rng.randint(1, 3))
+            if I.is_zero:
+                continue
+            calls.clear()
+            with pytest.raises(Stop):
+                betti_table_hochster(I)
+            assert calls == [tuple(polarize(I)[1])]
 
 
 class TestRegularity:

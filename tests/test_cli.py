@@ -323,6 +323,41 @@ class TestVerify:
         )
 
 
+class TestEngineErrors:
+    # The Hochster engine made wrong on ideals in 5 variables: C5's
+    # checks become errors, the sweep finishes, and the exit code is 1.
+    @pytest.fixture(autouse=True)
+    def wrong_on_c5(self, monkeypatch):
+        hochster = betti.betti_table_hochster
+
+        def wrong(I):
+            if I.nvars == 5:
+                return betti.BettiTable({(0, 2): 9})
+            return hochster(I)
+
+        monkeypatch.setattr(betti, "betti_table_hochster", wrong)
+        betti.regularity.cache_clear()
+
+    def test_verify_exits_1(self, capsys, graph_file):
+        argv = ["verify", "--graph", graph_file(cycle_graph(5)),
+                "--checks", "katzman", "--format", "json"]
+        code, out = run(capsys, argv)
+        assert code == 1
+        assert json.loads(out)["summary"]["katzman"]["error"] == 1
+
+    def test_sweep_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "family": {"kind": "named", "names": ["P4", "C5"]},
+            "checks": ["katzman"],
+            "s_values": [1],
+        }))
+        code, out = run(capsys, ["sweep", "--config", str(cfg)])
+        assert code == 1
+        assert "katzman: pass=1 fail=0" in out
+        assert out.count("ERROR katzman g=5:") == 1
+
+
 class TestSweep:
     def _config(self, tmp_path, obj):
         path = tmp_path / "config.json"

@@ -1,11 +1,15 @@
 """Verification harness tests: verdicts on hand-checked instances,
-deterministic reports, and parallel/serial agreement."""
+deterministic reports, parallel/serial agreement, and engine
+disagreements recorded as errors."""
 
 import json
 
 import pytest
 
+from edgeideals import betti
+from edgeideals.betti import betti_table_lcm
 from edgeideals.generators import FamilySpec, corona, cycle_graph, path_graph
+from edgeideals.monomials import edge_ideal
 from edgeideals.verify import (
     CHECK_NAMES,
     CheckResult,
@@ -191,3 +195,43 @@ class TestSweep:
     def test_graph_code_stable(self):
         assert graph_code(path_graph(4)) == graph_code(path_graph(4))
         assert graph_code(path_graph(4)) != graph_code(cycle_graph(4))
+
+
+class TestEngineDisagreement:
+    def test_error_verdict_keeps_the_sweep(self, monkeypatch):
+        spec = FamilySpec(kind="named", names=("P4", "C5"))
+        params = SweepParams(s_values=(1,))
+        checks = ["katzman", "bht"]
+        intact = run_sweep(spec, checks, params).results
+        # The Hochster engine made wrong on every ideal in 5 variables.
+        hochster = betti.betti_table_hochster
+
+        def wrong(I):
+            if I.nvars == 5:
+                return betti.BettiTable({(0, 2): 9})
+            return hochster(I)
+
+        monkeypatch.setattr(betti, "betti_table_hochster", wrong)
+        betti.regularity.cache_clear()
+        report = run_sweep(spec, checks, params)
+        errors = report.errors()
+        assert [r.check for r in errors] == ["bht", "katzman"]
+        for r in errors:
+            assert r.instance.startswith("g=5:")
+            assert r.values["lcm"] == betti_table_lcm(
+                edge_ideal(cycle_graph(5))
+            ).rows()
+            assert r.values["hochster"] == [(0, 2, 9)]
+        kept = [r for r in report.results if r.verdict != "error"]
+        p4 = [r for r in intact if not r.instance.startswith("g=5:")]
+        assert [r.to_json_obj() for r in kept] == [
+            r.to_json_obj() for r in p4
+        ]
+        assert report.summary["katzman"]["error"] == 1
+        assert "error" not in run_sweep(
+            FamilySpec(kind="named", names=("P4",)), checks, params
+        ).summary["katzman"]
+
+    def test_error_needs_a_reason(self):
+        with pytest.raises(ValueError):
+            CheckResult("katzman", "x", "error", {})
