@@ -13,7 +13,9 @@ one with fewer vertices; on a tie, the crosscut complex.  The engine stays
 independent of Hochster: it works on the unpolarized support of m, while
 Hochster restricts the polarized Stanley-Reisner complex, and for
 squarefree m, K^m is the Alexander dual of Hochster's restriction.  The
-two engines share only the homology kernel.
+two engines share the homology kernel and two generic face enumerators,
+`_nerve_faces` and `_submask_faces`, which each engine runs on complexes
+of its own.
 
 Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
@@ -21,7 +23,11 @@ Stanley-Reisner complex.  Only subsets that are unions of minimal nonfaces
 can carry homology (anything else restricts to a cone), so the sweep runs
 over the union closure of the generator supports.  Restrictions decompose
 as joins over connected components of their nonfaces, and component
-homology is memoized globally.  The sweep goes from the largest
+homology is memoized globally.  A component on at most 12 vertices is
+computed on whichever of its complex and its Alexander dual has fewer
+faces (the two have 2^c between them, so the dual is enumerated first and
+abandoned past half); a larger one tries the nerve of the dual's facets,
+then the complex, under the face cap.  The sweep goes from the largest
 restriction down, so the full support, often the first to exceed the face
 cap, is tried first; the order cannot change a table (entries are sums) or
 whether an ideal raises (a restriction raises or not on its own).
@@ -136,7 +142,12 @@ def _check_ideal(I):
 
 
 # ---------------------------------------------------------------------------
-# Homology polynomials of complexes-with-nonfaces, shared by both engines.
+# Face enumerators shared by both engines, and homology polynomials of
+# complexes-with-nonfaces.
+#
+# `_nerve_faces` and `_submask_faces` are generic: the lcm engine runs them
+# on the slack masks of an interval, Hochster on the nonface complements
+# of a component (its Alexander dual).
 #
 # A complex is encoded as P(t) = sum_d rank(H~_d) * t^(d+1), so that the
 # join of two complexes has polynomial P1 * P2 and a contractible factor
@@ -187,20 +198,56 @@ def _nerve_faces(facets, full, cap):
     return faces
 
 
+def _submask_faces(masks, cap):
+    """Nonempty faces of the union of the simplices on the given masks:
+    every nonempty submask of one of them.  Larger masks go first, so a
+    mask already listed lies inside an enumerated simplex and is skipped."""
+    faces = set()
+    for s in sorted(masks, key=int.bit_count, reverse=True):
+        if s in faces:
+            continue
+        sub = s
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & s
+        if len(faces) > cap:
+            raise OverflowError("submask face cap exceeded")
+    return list(faces)
+
+
 # Criterion 8 (all n <= 6) peaks at 9,900 entries, criterion 1 at 16,323.
 @lru_cache(maxsize=1 << 15)
 def component_homology_poly(nvertices, nonfaces):
     """Homology polynomial of the complex on 0..nvertices-1 with the given
     minimal nonfaces, every vertex lying in at least one nonface.
 
-    Chooses between direct face enumeration and the Alexander-dual complex
-    (faces = subsets of nonface complements), whichever is smaller; over
-    the rationals H~_d(complex) = H~_(n-d-3)(dual).
+    Works on the complex or on its Alexander dual, whose faces are the
+    subsets of the nonface complements; over the rationals
+    H~_d(complex) = H~_(c-d-3)(dual) on c vertices (Miller-Sturmfels,
+    Combinatorial Commutative Algebra, Ch. 5).
+
+    - Up to 12 vertices the smaller side is found exactly: taking
+      complements maps the dual's faces onto the complex's nonfaces, so
+      the two have 2^c faces between them, 2^c - 2 of them nonempty.  The
+      dual is enumerated first, up to 2^(c-1) - 1 nonempty faces; past
+      that the complex itself has at most 2^(c-1) - 2 and is enumerated
+      instead.  No face cap applies.
+    - Above 12 vertices the nerve of the dual's facets is tried first, then
+      the complex, each under HOMOLOGY_FACE_CAP; CapacityError when both
+      exceed it.
     """
     full = (1 << nvertices) - 1
     if nvertices <= 12:
-        faces = faces_from_nonfaces(nvertices, nonfaces, cap=None)
-        ranks = reduced_homology_ranks(faces)
+        try:
+            dual = _submask_faces(
+                [full ^ nf for nf in nonfaces], (1 << (nvertices - 1)) - 1
+            )
+        except OverflowError:
+            faces = faces_from_nonfaces(nvertices, nonfaces, cap=None)
+            ranks = reduced_homology_ranks(faces)
+        else:
+            dual_ranks = reduced_homology_ranks(dual)
+            ranks = {nvertices - 3 - d: r for d, r in dual_ranks.items()}
     else:
         # Alexander-dual route: the dual complex is the union of the
         # simplices on the nonface complements.  Its homotopy type is the
@@ -413,23 +460,6 @@ def lcm_lattice(I):
                     new.append(u)
         frontier = new
     return seen
-
-
-def _submask_faces(masks, cap):
-    """Nonempty faces of the union of the simplices on the given masks:
-    every nonempty submask of one of them.  Larger masks go first, so a
-    mask already listed lies inside an enumerated simplex and is skipped."""
-    faces = set()
-    for s in sorted(masks, key=int.bit_count, reverse=True):
-        if s in faces:
-            continue
-        sub = s
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & s
-        if len(faces) > cap:
-            raise OverflowError("submask face cap exceeded")
-    return list(faces)
 
 
 # Criterion 8 (all n <= 6) peaks at 6,886 entries, criterion 1 at 3,468.

@@ -401,10 +401,12 @@ def main(argv=None):
         GraphError,
         GenerationError,
         mon.IdealError,
-        EngineDisagreement,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except EngineDisagreement as exc:  # a fault in an engine, not the input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except BrokenPipeError:
         # The reader stopped reading (e.g. `| head`).  Point stdout at
         # devnull so the interpreter's final flush cannot fail again.

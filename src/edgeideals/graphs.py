@@ -15,6 +15,13 @@ from functools import cached_property, lru_cache
 
 INFINITE = math.inf
 
+# The most vertices an edge-list document may name, by its header or by a
+# vertex index.  Every family the lab builds is far smaller (corona(C15)
+# has 30), and `edge_ideal` stores a dense exponent tuple of length n per
+# generator, so an unchecked header such as "n 100000000" would allocate
+# gigabytes before any check ran.
+MAX_VERTICES = 4096
+
 
 class GraphError(ValueError):
     """Invalid graph data: loops, duplicate edges, out-of-range vertices."""
@@ -90,7 +97,8 @@ def from_edge_list(text):
 
     One "u v" pair per line, '#' starts a comment, blank lines ignored.
     An optional first line "n <count>" forces the vertex count; otherwise
-    n is 1 + the largest vertex index seen (0 for empty input).
+    n is 1 + the largest vertex index seen (0 for empty input).  Either
+    way n may not exceed MAX_VERTICES.
     """
     n_override = None
     edges = []
@@ -116,6 +124,11 @@ def from_edge_list(text):
                 ) from None
             if n_override < 0:
                 raise EdgeListParseError(f"line {line_no}: negative vertex count")
+            if n_override > MAX_VERTICES:
+                raise EdgeListParseError(
+                    f"line {line_no}: vertex count {n_override} exceeds the "
+                    f"limit of {MAX_VERTICES} vertices"
+                )
             continue
         saw_data = True
         if len(toks) != 2:
@@ -130,6 +143,11 @@ def from_edge_list(text):
             ) from None
         if u < 0 or v < 0:
             raise EdgeListParseError(f"line {line_no}: negative vertex index")
+        if max(u, v) >= MAX_VERTICES:
+            raise EdgeListParseError(
+                f"line {line_no}: vertex index {max(u, v)} exceeds the limit "
+                f"of {MAX_VERTICES} vertices (indices 0..{MAX_VERTICES - 1})"
+            )
         if u == v:
             raise GraphError(f"line {line_no}: loop edge at vertex {u}")
         e = _norm(u, v)

@@ -1,5 +1,6 @@
 """Betti table tests: both engines against paper-level anchors and each
-other, the lcm engine's interval complexes against their definitions, plus
+other, the lcm engine's interval complexes against their definitions, the
+side Hochster computes a component on against the primal route, plus
 polarization invariance, the Hochster union closure and sweep order, and
 capacity behavior."""
 
@@ -9,7 +10,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeideals import betti
@@ -33,7 +34,7 @@ from edgeideals.generators import (
     random_graph,
 )
 from edgeideals.graphs import Graph
-from edgeideals.homology import reduced_homology_ranks
+from edgeideals.homology import faces_from_nonfaces, reduced_homology_ranks
 from edgeideals.monomials import MonomialIdeal, edge_ideal, minimalize, power
 
 
@@ -220,6 +221,55 @@ class TestIntervals:
         # Hochster takes 0.2-5 s per ideal past 10 polarized variables.
         if polarize(I)[0] <= 10:
             assert betti_table_lcm(I) == betti_table_hochster(I)
+
+
+def minimal_masks(masks):
+    return [m for m in masks if not any(o != m and o & m == o for o in masks)]
+
+
+# Antichains of nonfaces relabelled onto the 1-10 vertices they cover.
+covering_antichains = st.integers(1, 10).flatmap(
+    lambda n: st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=8)
+).map(lambda masks: betti._localize(minimal_masks(masks)))
+
+SPHERE = (4, (0b1111,))  # dual {empty face}: the boundary of a 3-simplex
+DUAL_WINS = (5, (0b01111, 0b11110))  # dual: two points
+PRIMAL_WINS = (4, (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100))
+# Dual and primal both have 2^(c-1) - 1 = 7 nonempty faces.
+BOUNDARY = (4, (0b0011, 0b0101, 0b1001, 0b1110))
+
+
+class TestComponentSides:
+    @settings(max_examples=300, deadline=None)
+    @given(covering_antichains)
+    @example(SPHERE)
+    @example(DUAL_WINS)
+    @example(PRIMAL_WINS)
+    @example(BOUNDARY)
+    def test_against_the_primal_route(self, case):
+        c, nonfaces = case
+        got = betti.component_homology_poly.__wrapped__(c, nonfaces)
+        assert got == betti._ranks_to_poly(
+            reduced_homology_ranks(faces_from_nonfaces(c, nonfaces))
+        )
+
+    def test_small_dual_never_enumerates_the_primal(self, monkeypatch):
+        calls = []
+        enumerate_primal = betti.faces_from_nonfaces
+
+        def record(nvertices, nonfaces, cap=None):
+            calls.append((nvertices, nonfaces))
+            return enumerate_primal(nvertices, nonfaces, cap)
+
+        monkeypatch.setattr(betti, "faces_from_nonfaces", record)
+        poly = betti.component_homology_poly.__wrapped__
+        for c in range(1, 11):  # one nonface on every vertex: S^(c-2)
+            assert poly(c, ((1 << c) - 1,)) == (0,) * (c - 1) + (1,)
+        assert poly(*DUAL_WINS) == (0, 0, 0, 1)
+        assert poly(*BOUNDARY) == (0, 1, 1)
+        assert calls == []
+        assert poly(*PRIMAL_WINS) == (0, 3)  # four points
+        assert calls == [PRIMAL_WINS]
 
 
 class TestHochsterSweep:

@@ -190,6 +190,12 @@ class TestRegularity:
         code, _ = run(capsys, ["regularity", "--graph", graph_file(path_graph(4))])
         assert code == 0 and len(calls) == 1
 
+    def test_vertex_limit_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("n 100000000\n0 1\n")
+        assert main(["regularity", "--graph", str(path)]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
     def test_bad_power(self, capsys, graph_file):
         assert (
             main(
@@ -325,7 +331,8 @@ class TestVerify:
 
 class TestEngineErrors:
     # The Hochster engine made wrong on ideals in 5 variables: C5's
-    # checks become errors, the sweep finishes, and the exit code is 1.
+    # checks become errors, the sweep finishes, and every command that
+    # meets the disagreement exits 1.
     @pytest.fixture(autouse=True)
     def wrong_on_c5(self, monkeypatch):
         hochster = betti.betti_table_hochster
@@ -344,6 +351,11 @@ class TestEngineErrors:
         code, out = run(capsys, argv)
         assert code == 1
         assert json.loads(out)["summary"]["katzman"]["error"] == 1
+
+    def test_regularity_exits_1(self, capsys, graph_file):
+        code = main(["regularity", "--graph", graph_file(cycle_graph(5))])
+        assert code == 1
+        assert "Betti engines disagree" in capsys.readouterr().err
 
     def test_sweep_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"

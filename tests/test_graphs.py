@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from edgeideals.graphs import (
     INFINITE,
+    MAX_VERTICES,
     EdgeListParseError,
     Graph,
     GraphError,
@@ -174,6 +175,17 @@ class TestConstruction:
     def test_parse_misplaced_header(self):
         with pytest.raises(EdgeListParseError):
             from_edge_list("0 1\nn 4\n")
+
+    def test_parse_rejects_too_many_vertices(self):
+        # Rejected at parse time, before anything sized by n is built.
+        limit = f"limit of {MAX_VERTICES} vertices"
+        for doc in ("n 100000000\n0 1\n", f"n {MAX_VERTICES + 1}\n"):
+            with pytest.raises(EdgeListParseError, match=limit):
+                from_edge_list(doc)
+        with pytest.raises(EdgeListParseError, match="^line 2: .*" + limit):
+            from_edge_list(f"0 1\n0 {MAX_VERTICES}\n")
+        assert from_edge_list(f"n {MAX_VERTICES}\n").n == MAX_VERTICES
+        assert from_edge_list(f"0 {MAX_VERTICES - 1}\n").n == MAX_VERTICES
 
 
 # ---------------------------------------------------------------------------

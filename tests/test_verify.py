@@ -3,6 +3,7 @@ deterministic reports, parallel/serial agreement, and engine
 disagreements recorded as errors."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -197,22 +198,26 @@ class TestSweep:
         assert graph_code(path_graph(4)) != graph_code(cycle_graph(4))
 
 
+def make_hochster_wrong_on_c5(monkeypatch):
+    """Patch the Hochster engine wrong on every ideal in 5 variables."""
+    hochster = betti.betti_table_hochster
+
+    def wrong(I):
+        if I.nvars == 5:
+            return betti.BettiTable({(0, 2): 9})
+        return hochster(I)
+
+    monkeypatch.setattr(betti, "betti_table_hochster", wrong)
+    betti.regularity.cache_clear()
+
+
 class TestEngineDisagreement:
     def test_error_verdict_keeps_the_sweep(self, monkeypatch):
         spec = FamilySpec(kind="named", names=("P4", "C5"))
         params = SweepParams(s_values=(1,))
         checks = ["katzman", "bht"]
         intact = run_sweep(spec, checks, params).results
-        # The Hochster engine made wrong on every ideal in 5 variables.
-        hochster = betti.betti_table_hochster
-
-        def wrong(I):
-            if I.nvars == 5:
-                return betti.BettiTable({(0, 2): 9})
-            return hochster(I)
-
-        monkeypatch.setattr(betti, "betti_table_hochster", wrong)
-        betti.regularity.cache_clear()
+        make_hochster_wrong_on_c5(monkeypatch)
         report = run_sweep(spec, checks, params)
         errors = report.errors()
         assert [r.check for r in errors] == ["bht", "katzman"]
@@ -231,6 +236,20 @@ class TestEngineDisagreement:
         assert "error" not in run_sweep(
             FamilySpec(kind="named", names=("P4",)), checks, params
         ).summary["katzman"]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched engine reaches pool workers only by fork",
+    )
+    def test_pool_errors_equal_serial(self, monkeypatch):
+        # Workers forked from the patched process meet the same fault.
+        spec = FamilySpec(kind="named", names=("P4", "C5"))
+        checks = ["katzman", "bht"]
+        make_hochster_wrong_on_c5(monkeypatch)
+        serial = run_sweep(spec, checks, SweepParams(s_values=(1,)))
+        pooled = run_sweep(spec, checks, SweepParams(s_values=(1,), jobs=2))
+        assert [r.check for r in pooled.errors()] == ["bht", "katzman"]
+        assert pooled.to_json_obj() == serial.to_json_obj()
 
     def test_error_needs_a_reason(self):
         with pytest.raises(ValueError):
