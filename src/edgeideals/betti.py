@@ -24,13 +24,21 @@ can carry homology (anything else restricts to a cone), so the sweep runs
 over the union closure of the generator supports.  Restrictions decompose
 as joins over connected components of their nonfaces, and component
 homology is memoized globally.  A component on at most 12 vertices is
-computed on whichever of its complex and its Alexander dual has fewer
-faces (the two have 2^c between them, so the dual is enumerated first and
-abandoned past half); a larger one tries the nerve of the dual's facets,
-then the complex, under the face cap.  The sweep goes from the largest
-restriction down, so the full support, often the first to exceed the face
-cap, is tried first; the order cannot change a table (entries are sums) or
-whether an ideal raises (a restriction raises or not on its own).
+first reduced from its nonface list, without listing a face: when the
+deletion of some vertex is a cone, its polynomial is t times the link's;
+when the link is a cone, it is the deletion's.  The pieces recurse
+through the same memo.  Only a component where no vertex qualifies has its faces
+enumerated, on whichever of its complex and its Alexander dual has fewer
+(the two have 2^c between them, so the dual is enumerated first and
+abandoned past half).  A larger component tries the nerve of the dual's
+facets, then the complex, under the face cap; every capacity skip is
+decided there.  The lcm engine keeps enumerating the faces of its
+interval complexes, so wherever both engines answer, the reductions are
+checked against an independent route.  The full support, often the first
+restriction to exceed the face cap, is computed before the union closure
+is built, and the sweep then goes from the largest restriction down; the
+order cannot change a table (entries are sums) or whether an ideal raises
+(a restriction raises or not on its own).
 
 Tables are indexed on the ideal I, not R/I: reg(I) = reg(R/I) + 1.
 Everything is over the rationals via exact integer ranks.
@@ -194,7 +202,12 @@ def _nerve_faces(facets, full, cap):
                 raise OverflowError("nerve face cap exceeded")
             extend(j + 1, inter2, m2)
 
-    extend(0, full, 0)
+    try:
+        extend(0, full, 0)
+    finally:
+        # `extend` reaches itself through its closure; breaking that cycle
+        # frees the faces at once, also when the cap raises.
+        del extend
     return faces
 
 
@@ -215,96 +228,183 @@ def _submask_faces(masks, cap):
     return list(faces)
 
 
-# Criterion 8 (all n <= 6) peaks at 9,900 entries, criterion 1 at 16,323.
+def _enumerated_component_poly(nvertices, nonfaces):
+    """Homology polynomial of a component on at most 12 vertices, from the
+    faces of whichever of the complex and its Alexander dual has fewer.
+
+    Taking complements maps the dual's faces onto the complex's nonfaces,
+    so the two have 2^c faces between them, 2^c - 2 of them nonempty.  The
+    dual is enumerated first, up to 2^(c-1) - 1 nonempty faces; past that
+    the complex itself has at most 2^(c-1) - 2 and is enumerated instead.
+    No face cap applies."""
+    full = (1 << nvertices) - 1
+    try:
+        dual = _submask_faces(
+            [full ^ nf for nf in nonfaces], (1 << (nvertices - 1)) - 1
+        )
+    except OverflowError:
+        pass
+    else:
+        dual_ranks = reduced_homology_ranks(dual)
+        return _ranks_to_poly(
+            {nvertices - 3 - d: r for d, r in dual_ranks.items()}
+        )
+    faces = faces_from_nonfaces(nvertices, nonfaces, cap=None)
+    return _ranks_to_poly(reduced_homology_ranks(faces))
+
+
+def _capped_component_poly(nvertices, nonfaces):
+    """Homology polynomial of a component above 12 vertices: the nerve of
+    the dual's facets, else the complex, each under HOMOLOGY_FACE_CAP.
+
+    Each route runs, and CapacityError is raised, outside the previous
+    route's `except` block, so no traceback keeps an abandoned route's
+    faces alive."""
+    full = (1 << nvertices) - 1
+    # Alexander-dual route: the dual complex is the union of the simplices
+    # on the nonface complements.  Its homotopy type is the nerve of that
+    # cover (simplices intersect in simplices, which are empty or
+    # contractible), a complex with one vertex per nonface;
+    # H~_d(primal) = H~_(n-d-3)(dual) over the rationals.  The nerve DFS
+    # prunes the moment an intersection empties, so the cost is
+    # proportional to the nerve's actual face count.
+    facets = [full ^ nf for nf in nonfaces if full ^ nf]
+    try:
+        nerve = _nerve_faces(facets, full, HOMOLOGY_FACE_CAP)
+    except OverflowError:
+        pass
+    else:
+        dual = reduced_homology_ranks(nerve)
+        return _ranks_to_poly({nvertices - 3 - d: r for d, r in dual.items()})
+    try:
+        faces = faces_from_nonfaces(nvertices, nonfaces, cap=HOMOLOGY_FACE_CAP)
+    except OverflowError:
+        pass
+    else:
+        return _ranks_to_poly(reduced_homology_ranks(faces))
+    raise CapacityError(
+        f"restricted complex on {nvertices} vertices exceeded "
+        f"the face cap {HOMOLOGY_FACE_CAP} on both the "
+        f"primal and the dual-nerve route"
+    )
+
+
+def _minimal(masks):
+    """The inclusion-minimal masks among `masks`."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _reduced_complex_poly(ground, nonfaces):
+    """Homology polynomial of the complex on the vertex mask `ground` with
+    the given minimal nonfaces, the result of a deletion or a link.
+
+    A one-vertex nonface drops its vertex; then an empty ground set is
+    {empty face}, (1,), and a vertex in no nonface is a cone apex, ().
+    Otherwise the complex is the join of its nonface components, each
+    computed through the memoized `component_homology_poly`."""
+    rest = []
+    for nf in nonfaces:
+        if nf & (nf - 1):
+            rest.append(nf)
+        else:
+            ground &= ~nf
+    if not ground:
+        return (1,)
+    covered = 0
+    for nf in rest:
+        covered |= nf
+    if ground & ~covered:
+        return ()
+    return restriction_homology_poly(tuple(rest))
+
+
+def _reduce_by_vertex(nvertices, nonfaces):
+    """Homology polynomial of a component by one deletion or link, or None
+    when no vertex qualifies.
+
+    Write the complex as del(v) united with star(v), a cone, meeting in
+    lk(v); Mayer-Vietoris gives two rules (Barmak-Minian, Strong homotopy
+    types, nerves and collapses, DCG 47, 2012; Jonsson, Simplicial
+    Complexes of Graphs, LNM 1928).  del(v) keeps the nonfaces avoiding v;
+    lk(v) keeps the minimal elements of {N - v}.
+
+    - Rule 2: some u != v lies in no nonface avoiding v.  Then del(v) is a
+      cone on u and H~_d(complex) = H~_(d-1)(lk v): t * P(lk v).
+    - Rule 1: some vertex of lk(v) lies in no minimal nonface of lk(v).
+      Then the link is a cone and H~(complex) = H~(del v): P(del v)."""
+    full = (1 << nvertices) - 1
+    for v in range(nvertices):
+        bit = 1 << v
+        covered = 0
+        for nf in nonfaces:
+            if not nf & bit:
+                covered |= nf
+        if full & ~bit & ~covered:
+            link = _minimal([nf & ~bit for nf in nonfaces])
+            poly = _reduced_complex_poly(full & ~bit, link)
+            return (0,) + poly if poly else ()
+    for v in range(nvertices):
+        bit = 1 << v
+        link = _minimal([nf & ~bit for nf in nonfaces])
+        covered = 0
+        for nf in link:
+            covered |= nf
+        if full & ~bit & ~covered:
+            return _reduced_complex_poly(
+                full & ~bit, [nf for nf in nonfaces if not nf & bit]
+            )
+    return None
+
+
+# Components and the pieces the reductions leave share this memo.
+# Each run alone, criterion 8 (all n <= 6) peaks at 14,229 entries and
+# criterion 1 at 15,038.
 @lru_cache(maxsize=1 << 15)
 def component_homology_poly(nvertices, nonfaces):
     """Homology polynomial of the complex on 0..nvertices-1 with the given
     minimal nonfaces, every vertex lying in at least one nonface.
 
-    Works on the complex or on its Alexander dual, whose faces are the
-    subsets of the nonface complements; over the rationals
-    H~_d(complex) = H~_(c-d-3)(dual) on c vertices (Miller-Sturmfels,
-    Combinatorial Commutative Algebra, Ch. 5).
-
-    - Up to 12 vertices the smaller side is found exactly: taking
-      complements maps the dual's faces onto the complex's nonfaces, so
-      the two have 2^c faces between them, 2^c - 2 of them nonempty.  The
-      dual is enumerated first, up to 2^(c-1) - 1 nonempty faces; past
-      that the complex itself has at most 2^(c-1) - 2 and is enumerated
-      instead.  No face cap applies.
+    - Up to 12 vertices one deletion or link reduces the component to
+      smaller ones, memoized here too, when some vertex qualifies
+      (`_reduce_by_vertex`); otherwise its faces, or its Alexander dual's,
+      are enumerated (`_enumerated_component_poly`).  No face cap applies.
     - Above 12 vertices the nerve of the dual's facets is tried first, then
       the complex, each under HOMOLOGY_FACE_CAP; CapacityError when both
-      exceed it.
+      exceed it (`_capped_component_poly`).  Every capacity skip is
+      decided here, and the reductions never run here.
     """
-    full = (1 << nvertices) - 1
-    if nvertices <= 12:
-        try:
-            dual = _submask_faces(
-                [full ^ nf for nf in nonfaces], (1 << (nvertices - 1)) - 1
-            )
-        except OverflowError:
-            faces = faces_from_nonfaces(nvertices, nonfaces, cap=None)
-            ranks = reduced_homology_ranks(faces)
-        else:
-            dual_ranks = reduced_homology_ranks(dual)
-            ranks = {nvertices - 3 - d: r for d, r in dual_ranks.items()}
-    else:
-        # Alexander-dual route: the dual complex is the union of the
-        # simplices on the nonface complements.  Its homotopy type is the
-        # nerve of that cover (simplices intersect in simplices, which
-        # are empty or contractible), a complex with one vertex per
-        # nonface; H~_d(primal) = H~_(n-d-3)(dual) over the rationals.
-        # The nerve DFS prunes the moment an intersection empties, so the
-        # cost is proportional to the nerve's actual face count.
-        facets = [full ^ nf for nf in nonfaces if full ^ nf]
-        try:
-            nerve = _nerve_faces(facets, full, HOMOLOGY_FACE_CAP)
-            dual = reduced_homology_ranks(nerve)
-            ranks = {nvertices - 3 - d: r for d, r in dual.items()}
-        except OverflowError:
-            try:
-                faces = faces_from_nonfaces(
-                    nvertices, nonfaces, cap=HOMOLOGY_FACE_CAP
-                )
-            except OverflowError:
-                raise CapacityError(
-                    f"restricted complex on {nvertices} vertices exceeded "
-                    f"the face cap {HOMOLOGY_FACE_CAP} on both the "
-                    f"primal and the dual-nerve route"
-                ) from None
-            ranks = reduced_homology_ranks(faces)
-    return _ranks_to_poly(ranks)
+    if nvertices > 12:
+        return _capped_component_poly(nvertices, nonfaces)
+    poly = _reduce_by_vertex(nvertices, nonfaces)
+    if poly is None:
+        poly = _enumerated_component_poly(nvertices, nonfaces)
+    return poly
 
 
 def _split_components(nonfaces):
-    """Group nonface masks into connected components (shared vertices)."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    vertex_root = {}
-    roots = {}
-    for nf in nonfaces:
-        parent.setdefault(nf, nf)
-        rem = nf
-        while rem:
-            bit = rem & -rem
-            v = bit.bit_length() - 1
-            rem ^= bit
-            if v in vertex_root:
-                ra, rb = find(nf), find(vertex_root[v])
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                vertex_root[v] = nf
-    comps = {}
-    for nf in nonfaces:
-        comps.setdefault(find(nf), []).append(nf)
-    return list(comps.values())
+    """Group nonface masks into connected components (shared vertices):
+    each grows from the first nonface not yet grouped until its vertex
+    cover stops growing.  Components come in the order of their first
+    nonface, each in input order."""
+    comps = []
+    rest = nonfaces
+    while rest:
+        cover = rest[0]
+        while True:
+            comp = [nf for nf in rest if nf & cover]
+            grown = 0
+            for nf in comp:
+                grown |= nf
+            if grown == cover:
+                break
+            cover = grown
+        comps.append(comp)
+        rest = [nf for nf in rest if not nf & cover]
+    return comps
 
 
 def _localize(nonfaces):
@@ -398,13 +498,15 @@ def _union_closure(masks, cap):
 def betti_table_hochster(I):
     """Graded Betti table of I via polarization and restriction homology.
 
-    The restrictions are swept largest first, so the full support comes
-    first, and where its complex is over the face cap the ideal raises on
-    the first restriction it tries.  The order changes nothing else:
-    entries are sums, and whether a restriction raises depends on that
-    restriction alone (the component memo keeps only successes), so the
-    ideal raises exactly when some restriction does, whatever the order
-    or the vertex labels.
+    The full support is computed before the union closure is built, so
+    where its complex is over the face cap the ideal raises without
+    building the closure, and an ideal over both the union cap and the
+    face cap reports the face cap.  The sweep then finds the full support
+    in the component memo and goes on from the largest restriction down.
+    The order changes nothing else: entries are sums, and whether a
+    restriction raises depends on that restriction alone (the component
+    memo keeps only successes), so the ideal raises exactly when some
+    restriction does, whatever the order or the vertex labels.
     """
     _check_ideal(I)
     if len(I.gens) > HOCHSTER_MAX_GENS:
@@ -417,6 +519,7 @@ def betti_table_hochster(I):
         raise CapacityError(
             f"{npol} polarized variables exceed the cap {HOCHSTER_MAX_VARS}"
         )
+    restriction_homology_poly(tuple(nonfaces))  # may raise; memoizes
     unions = _union_closure(nonfaces, HOCHSTER_UNION_CAP)
     entries = {}
     for w in sorted(unions, key=int.bit_count, reverse=True):

@@ -190,7 +190,11 @@ def cmd_colon(args):
 def _params_from_args(args, config=None):
     config = config or {}
     return SweepParams(
-        s_values=tuple(config.get("s_values", args.s_values or (1, 2))),
+        s_values=tuple(
+            args.s_values
+            if args.s_values is not None
+            else config.get("s_values", (1, 2))
+        ),
         seed=args.seed if args.seed is not None else config.get("seed", 0),
         multiset_sample=config.get("multiset_sample", 50),
         jobs=getattr(args, "jobs", 0) or config.get("jobs", 1),
@@ -322,6 +326,13 @@ def cmd_generate(args):
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="edgeideals",
@@ -358,7 +369,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run theorem checks on one graph")
     common(p, graph=True)
     p.add_argument("--checks", nargs="*", metavar="CHECK")
-    p.add_argument("--s-values", dest="s_values", type=int, nargs="*")
+    p.add_argument("--s-values", dest="s_values", type=int, nargs="+")
     p.add_argument("--seed", type=int)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_verify)
@@ -367,9 +378,9 @@ def build_parser():
     common(p, formats=("json", "text", "csv"))
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="directory for report.json / report.csv")
-    p.add_argument("--s-values", dest="s_values", type=int, nargs="*")
+    p.add_argument("--s-values", dest="s_values", type=int, nargs="+")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=0)
+    p.add_argument("--jobs", type=_nonnegative_int, default=0)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 

@@ -255,5 +255,10 @@ def faces_from_nonfaces(nvertices, nonfaces, cap=None):
                 raise OverflowError("face enumeration exceeded cap")
             extend(newf, i + 1)
 
-    extend(0, 0)
+    try:
+        extend(0, 0)
+    finally:
+        # `extend` reaches itself through its closure; breaking that cycle
+        # frees the faces at once, also when the cap raises.
+        del extend
     return faces

@@ -1,10 +1,12 @@
 """Betti table tests: both engines against paper-level anchors and each
 other, the lcm engine's interval complexes against their definitions, the
-side Hochster computes a component on against the primal route, plus
-polarization invariance, the Hochster union closure and sweep order, and
-capacity behavior."""
+side Hochster enumerates a component on against the primal route, its
+deletion and link reductions against that enumeration, plus polarization
+invariance, the Hochster union closure and sweep order, and capacity
+behavior."""
 
 import functools
+import gc
 import itertools
 import operator
 import random
@@ -248,7 +250,7 @@ class TestComponentSides:
     @example(BOUNDARY)
     def test_against_the_primal_route(self, case):
         c, nonfaces = case
-        got = betti.component_homology_poly.__wrapped__(c, nonfaces)
+        got = betti._enumerated_component_poly(c, nonfaces)
         assert got == betti._ranks_to_poly(
             reduced_homology_ranks(faces_from_nonfaces(c, nonfaces))
         )
@@ -262,7 +264,7 @@ class TestComponentSides:
             return enumerate_primal(nvertices, nonfaces, cap)
 
         monkeypatch.setattr(betti, "faces_from_nonfaces", record)
-        poly = betti.component_homology_poly.__wrapped__
+        poly = betti._enumerated_component_poly
         for c in range(1, 11):  # one nonface on every vertex: S^(c-2)
             assert poly(c, ((1 << c) - 1,)) == (0,) * (c - 1) + (1,)
         assert poly(*DUAL_WINS) == (0, 0, 0, 1)
@@ -270,6 +272,77 @@ class TestComponentSides:
         assert calls == []
         assert poly(*PRIMAL_WINS) == (0, 3)  # four points
         assert calls == [PRIMAL_WINS]
+
+
+# Independence complex of the path 0-1-2-3: the path 2-0-3-1.  Rule 2
+# at vertex 1 (vertex 0 lies in no nonface avoiding 1) leaves lk(1), a
+# cone on 3.
+CONE = (4, (0b0011, 0b0110, 0b1100))
+# Independence complex of the 4-cycle 0-1-3-2: two disjoint edges.  No
+# deletion is a cone, but lk(0), with nonfaces {1} and {2}, is a cone on 3
+# (Rule 1).
+LINK_CONE = (4, (0b0011, 0b0101, 0b1010, 0b1100))
+
+
+def sphere(c):
+    """One nonface on all c vertices: the boundary of a simplex, S^(c-2)."""
+    return c, ((1 << c) - 1,)
+
+
+class TestReductions:
+    @settings(max_examples=300, deadline=None)
+    @given(covering_antichains)
+    @example(CONE)
+    @example(LINK_CONE)
+    @example(PRIMAL_WINS)
+    @example(sphere(6))
+    def test_against_enumeration(self, case):
+        c, nonfaces = case
+        expected = betti._enumerated_component_poly(c, nonfaces)
+        assert betti.component_homology_poly.__wrapped__(c, nonfaces) == expected
+        reduced = betti._reduce_by_vertex(c, nonfaces)
+        assert reduced is None or reduced == expected
+
+    def test_explicit_cases(self):
+        poly = betti.component_homology_poly.__wrapped__
+        # Rule 2 (suspension): two points, then every simplex boundary.
+        assert poly(2, (0b11,)) == (0, 1)
+        for c in range(2, 11):
+            assert poly(*sphere(c)) == (0,) * (c - 1) + (1,)
+        assert poly(*CONE) == ()
+        assert poly(*LINK_CONE) == (0, 1)
+        # A vertex whose only nonface is itself: {empty face}.
+        assert poly(1, (0b1,)) == (1,)
+        # What deletions and links leave: {empty face}, a singleton
+        # nonface dropping its vertex, and a cone apex.
+        reduced = betti._reduced_complex_poly
+        assert reduced(0, []) == (1,)
+        assert reduced(0b110, [0b010, 0b100]) == (1,)
+        assert reduced(0b111, [0b001, 0b110]) == (0, 1)
+        assert reduced(0b111, [0b011]) == ()
+        # The link keeps only minimal nonfaces: {0} absorbs {0, 1}.
+        assert betti._minimal([0b11, 0b01, 0b110, 0b01]) == [0b01, 0b110]
+
+    def test_reduced_components_enumerate_no_faces(self, monkeypatch):
+        calls = []
+
+        def recorder(fn):
+            def record(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return record
+
+        for name in ("faces_from_nonfaces", "_submask_faces"):
+            monkeypatch.setattr(betti, name, recorder(getattr(betti, name)))
+        betti.component_homology_poly.cache_clear()
+        for case in (CONE, LINK_CONE, (2, (0b11,))) + tuple(
+            sphere(c) for c in range(2, 11)
+        ):
+            betti.component_homology_poly(*case)
+        assert calls == []
+        betti.component_homology_poly(*PRIMAL_WINS)  # no vertex qualifies
+        assert calls == ["_submask_faces", "faces_from_nonfaces"]
 
 
 class TestHochsterSweep:
@@ -295,6 +368,32 @@ class TestHochsterSweep:
         else:
             assert betti._union_closure(masks, cap) == oracle
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(
+                st.integers(1, (1 << n) - 1), max_size=10, unique=True
+            )
+        )
+    )
+    def test_split_components_against_vertex_sharing(self, masks):
+        # A partition, ordered by first mask and each part in input order,
+        # where no two parts share a vertex and no part falls into two
+        # groups that share none.
+        comps = betti._split_components(masks)
+        assert sorted(m for comp in comps for m in comp) == sorted(masks)
+        firsts = [masks.index(comp[0]) for comp in comps]
+        assert firsts == sorted(firsts)
+        covers = [functools.reduce(operator.or_, comp) for comp in comps]
+        for a, b in itertools.combinations(covers, 2):
+            assert not a & b
+        for comp, cover in zip(comps, covers):
+            assert comp == [m for m in masks if m & cover]
+            for r in range(1, len(comp)):
+                for part in itertools.combinations(comp, r):
+                    inside = functools.reduce(operator.or_, part)
+                    assert any(m & inside for m in comp if m not in part)
+
     def test_cap_trip_names_the_full_support(self):
         # corona(C5)^2 polarizes to 20 variables in one component, over
         # the face cap; the full support trips first under any labels.
@@ -308,6 +407,41 @@ class TestHochsterSweep:
             H = Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges])
             with pytest.raises(CapacityError, match="on 20 vertices"):
                 betti_table_hochster(power(I_of(H), 2))
+
+    def test_capacity_error_keeps_no_abandoned_route(self, monkeypatch):
+        # The nerve's overflowed faces are freed before the primal route
+        # runs, the primal's before the error reaches the caller, and
+        # neither overflow is chained to the error.
+        def overflowed():
+            return sum(
+                1
+                for o in gc.get_objects()
+                if isinstance(o, list) and len(o) == betti.HOMOLOGY_FACE_CAP + 1
+            )
+
+        at_primal = []
+        primal = betti.faces_from_nonfaces
+
+        def record(*args, **kwargs):
+            at_primal.append(overflowed())
+            return primal(*args, **kwargs)
+
+        monkeypatch.setattr(betti, "faces_from_nonfaces", record)
+        with pytest.raises(CapacityError, match="on 20 vertices") as exc:
+            betti_table_hochster(power(I_of(corona(cycle_graph(5))), 2))
+        assert exc.value.__context__ is None
+        assert at_primal and not any(at_primal)
+        assert overflowed() == 0
+
+    def test_face_cap_reported_before_the_union_cap(self, monkeypatch):
+        # corona(C5)^2 is over the face cap; with the union cap patched
+        # below its closure it is over both, and the full support, computed
+        # before the closure is built, names the face cap.
+        monkeypatch.setattr(betti, "HOCHSTER_UNION_CAP", 1)
+        with pytest.raises(CapacityError, match="face cap"):
+            betti_table_hochster(power(I_of(corona(cycle_graph(5))), 2))
+        with pytest.raises(CapacityError, match="union closure exceeded"):
+            betti_table_hochster(I_of(cycle_graph(5)))
 
     def test_first_restriction_is_the_full_support(self, monkeypatch):
         calls = []

@@ -429,6 +429,34 @@ class TestSweep:
         )
         assert main(["sweep", "--config", cfg]) == 2
 
+    def _bht_on_p4(self, tmp_path):
+        return self._config(
+            tmp_path,
+            {
+                "family": {"kind": "named", "names": ["P4"]},
+                "checks": ["bht"],
+                "s_values": [1],
+            },
+        )
+
+    def test_s_values_flag_wins_over_config(self, capsys, tmp_path):
+        argv = ["sweep", "--config", self._bht_on_p4(tmp_path),
+                "--s-values", "2", "3", "--format", "json"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["s_values"] == [2, 3]
+        assert report["summary"]["bht"]["pass"] == 2
+
+    def test_bare_s_values_exits_2(self, capsys, tmp_path):
+        argv = ["sweep", "--config", self._bht_on_p4(tmp_path), "--s-values"]
+        assert usage_error(argv) == 2
+
+    @pytest.mark.parametrize("jobs", ["-3", "-1", "two"])
+    def test_bad_jobs_exits_2(self, capsys, tmp_path, jobs):
+        argv = ["sweep", "--config", self._bht_on_p4(tmp_path), "--jobs", jobs]
+        assert usage_error(argv) == 2
+
 
 class TestGenerate:
     def test_named_kind(self, capsys):
