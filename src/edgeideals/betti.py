@@ -8,14 +8,16 @@ m_v, over the interval's atoms, the minimal generators dividing m) is a
 Dowker pair with two homotopy equivalent complexes: the crosscut complex
 on the atoms (the nerve of the slack masks, homotopy equivalent to the
 interval's order complex) and the upper Koszul complex K^m(I) on the
-variables of m (Miller-Sturmfels, Thm 1.34).  Each interval builds the
-one with fewer vertices; on a tie, the crosscut complex.  The engine stays
-independent of Hochster: it works on the unpolarized support of m, while
-Hochster restricts the polarized Stanley-Reisner complex, and for
-squarefree m, K^m is the Alexander dual of Hochster's restriction.  The
-two engines share the homology kernel and two generic face enumerators,
-`_nerve_faces` and `_submask_faces`, which each engine runs on complexes
-of its own.
+variables of m (Miller-Sturmfels, Thm 1.34).  Each interval first
+reduces the relation to its Dowker core, dropping rows inside other rows
+and columns inside other columns, strong collapses that keep both
+homotopy types, then builds whichever complex of the core has fewer
+vertices; on a tie, the crosscut complex.  The engine stays independent
+of Hochster: it works on the unpolarized support of m, while Hochster
+restricts the polarized Stanley-Reisner complex, and for squarefree m,
+K^m is the Alexander dual of Hochster's restriction.  The two engines
+share the homology kernel and two generic face enumerators, `_nerve_faces`
+and `_submask_faces`, which each engine runs on complexes of its own.
 
 Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
@@ -31,14 +33,18 @@ through the same memo.  Only a component where no vertex qualifies has its faces
 enumerated, on whichever of its complex and its Alexander dual has fewer
 (the two have 2^c between them, so the dual is enumerated first and
 abandoned past half).  A larger component tries the nerve of the dual's
-facets, then the complex, under the face cap; every capacity skip is
-decided there.  The lcm engine keeps enumerating the faces of its
-interval complexes, so wherever both engines answer, the reductions are
-checked against an independent route.  The full support, often the first
-restriction to exceed the face cap, is computed before the union closure
-is built, and the sweep then goes from the largest restriction down; the
-order cannot change a table (entries are sums) or whether an ideal raises
-(a restriction raises or not on its own).
+facets, then the complex, under the face cap, and starts neither where a
+certificate shows it would overflow: a nerve simplex over the cap, or an
+exact face count of the complex over it; every capacity skip is decided
+there.  The lcm engine reduces by strong collapses on its own relation,
+a different theorem on a different complex from deletion and link, and
+still enumerates the faces of the core's complex, so wherever both
+engines answer, the reductions are checked against an independent route.
+The full support, often the first restriction to exceed the face cap, is
+computed before the union closure is built, and the sweep then goes from
+the largest restriction down; the order cannot change a table (entries
+are sums) or whether an ideal raises (a restriction raises or not on its
+own).
 
 Tables are indexed on the ideal I, not R/I: reg(I) = reg(R/I) + 1.
 Everything is over the rationals via exact integer ranks.
@@ -257,8 +263,15 @@ def _capped_component_poly(nvertices, nonfaces):
     """Homology polynomial of a component above 12 vertices: the nerve of
     the dual's facets, else the complex, each under HOMOLOGY_FACE_CAP.
 
-    Each route runs, and CapacityError is raised, outside the previous
-    route's `except` block, so no traceback keeps an abandoned route's
+    No route starts that is certain to overflow.  The dual facets through
+    one vertex all meet there, so they span a simplex of the nerve: with t
+    of them at the busiest vertex, the nerve has at least 2^t - 1 nonempty
+    faces, and its DFS is skipped when that is over the cap.  The complex
+    is enumerated only when `_face_count`, exact up to the cap, says it
+    fits.  When neither route answers, CapacityError names both.
+
+    The complex is enumerated, and CapacityError is raised, outside the
+    nerve's `except` block, so no traceback keeps an overflowed nerve's
     faces alive."""
     full = (1 << nvertices) - 1
     # Alexander-dual route: the dual complex is the union of the simplices
@@ -269,18 +282,23 @@ def _capped_component_poly(nvertices, nonfaces):
     # prunes the moment an intersection empties, so the cost is
     # proportional to the nerve's actual face count.
     facets = [full ^ nf for nf in nonfaces if full ^ nf]
-    try:
-        nerve = _nerve_faces(facets, full, HOMOLOGY_FACE_CAP)
-    except OverflowError:
-        pass
-    else:
-        dual = reduced_homology_ranks(nerve)
-        return _ranks_to_poly({nvertices - 3 - d: r for d, r in dual.items()})
-    try:
-        faces = faces_from_nonfaces(nvertices, nonfaces, cap=HOMOLOGY_FACE_CAP)
-    except OverflowError:
-        pass
-    else:
+    busiest = max(sum(f >> v & 1 for f in facets) for v in range(nvertices))
+    if (1 << busiest) - 1 <= HOMOLOGY_FACE_CAP:
+        try:
+            nerve = _nerve_faces(facets, full, HOMOLOGY_FACE_CAP)
+        except OverflowError:
+            pass
+        else:
+            dual = reduced_homology_ranks(nerve)
+            return _ranks_to_poly(
+                {nvertices - 3 - d: r for d, r in dual.items()}
+            )
+    # The empty face is counted too, so the nonempty ones fit the cap
+    # exactly when the count is at most cap + 1.
+    if _face_count(nvertices, nonfaces, HOMOLOGY_FACE_CAP + 1) <= (
+        HOMOLOGY_FACE_CAP + 1
+    ):
+        faces = faces_from_nonfaces(nvertices, nonfaces)
         return _ranks_to_poly(reduced_homology_ranks(faces))
     raise CapacityError(
         f"restricted complex on {nvertices} vertices exceeded "
@@ -296,6 +314,45 @@ def _minimal(masks):
         if not any(k & m == k for k in kept):
             kept.append(m)
     return kept
+
+
+def _face_count(nvertices, nonfaces, cap):
+    """Number of faces, the empty face included, of the complex on
+    0..nvertices-1 with the given minimal nonfaces; cap + 1 once that
+    number passes `cap`.
+
+    Every face either avoids a vertex v, a face of del(v), or is v joined
+    to a face of lk(v), so F = F(del v) + F(lk v), with del and lk as in
+    `_reduce_by_vertex`.  A vertex in no nonface doubles the count, and a
+    one-vertex nonface {v} leaves lk(v) void.  Counts are memoized for the
+    call on the nonfaces alone, saturate at cap + 1, and the link is not
+    counted once the deletion alone passes the cap."""
+    memo = {}
+
+    def count(ground, nfs):
+        cover = 0
+        for nf in nfs:
+            cover |= nf
+        key = tuple(sorted(nfs))
+        got = memo.get(key)
+        if got is None:
+            if not nfs:
+                got = 1
+            else:
+                bit = cover & -cover
+                rest = cover ^ bit
+                got = count(rest, [nf for nf in nfs if not nf & bit])
+                if got <= cap and bit not in nfs:
+                    got += count(rest, _minimal([nf & ~bit for nf in nfs]))
+                got = min(got, cap + 1)
+            memo[key] = got
+        return min(got << (ground & ~cover).bit_count(), cap + 1)
+
+    try:
+        return count((1 << nvertices) - 1, list(nonfaces))
+    finally:
+        # `count` reaches itself through its closure; see `_nerve_faces`.
+        del count
 
 
 def _reduced_complex_poly(ground, nonfaces):
@@ -373,9 +430,10 @@ def component_homology_poly(nvertices, nonfaces):
       (`_reduce_by_vertex`); otherwise its faces, or its Alexander dual's,
       are enumerated (`_enumerated_component_poly`).  No face cap applies.
     - Above 12 vertices the nerve of the dual's facets is tried first, then
-      the complex, each under HOMOLOGY_FACE_CAP; CapacityError when both
-      exceed it (`_capped_component_poly`).  Every capacity skip is
-      decided here, and the reductions never run here.
+      the complex, each under HOMOLOGY_FACE_CAP and each only when not
+      certified over it; CapacityError when both exceed it
+      (`_capped_component_poly`).  Every capacity skip is decided here,
+      and the reductions never run here.
     """
     if nvertices > 12:
         return _capped_component_poly(nvertices, nonfaces)
@@ -565,6 +623,45 @@ def lcm_lattice(I):
     return seen
 
 
+def _maximal(masks):
+    """The inclusion-maximal masks among `masks`, one copy of each."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not any(m & k == m for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _transpose(rows, ncols):
+    """Column masks over the rows of a relation given by its row masks."""
+    return [
+        sum(1 << i for i, r in enumerate(rows) if r >> c & 1)
+        for c in range(ncols)
+    ]
+
+
+def _dowker_core(rows, ncols):
+    """The core of a relation given by its row masks over `ncols` columns:
+    (row masks over the kept columns, renumbered, and their count).
+
+    Until neither step applies: drop each row contained in another,
+    keeping one copy of equal rows, then each column whose row set lies
+    inside another column's.  Either step leaves one side's complex
+    unchanged and strongly collapses the other (Barmak-Minian, Strong
+    homotopy types, nerves and collapses, DCG 47, 2012): a row inside
+    another, or a column inside another, is a dominated vertex.  So the
+    core's nerve and the submask complex of its rows keep the homotopy
+    type of the relation's two Dowker complexes."""
+    while True:
+        rows = _maximal(rows)
+        cols = _transpose(rows, ncols)
+        kept = _maximal(cols)
+        if len(kept) == ncols:
+            return rows, ncols
+        ncols = len(kept)
+        rows = _transpose(kept, len(rows))
+
+
 # Criterion 8 (all n <= 6) peaks at 6,886 entries, criterion 1 at 3,468.
 @lru_cache(maxsize=1 << 15)
 def _crosscut_ranks(atoms):
@@ -585,23 +682,27 @@ def _crosscut_ranks(atoms):
       masks.  Miller-Sturmfels, Combinatorial Commutative Algebra,
       Thm 1.34: beta_{i,m}(I) = rank H~_{i-1}(K^m(I)).
 
-    K^m is built when supp(m) has fewer variables than there are atoms;
-    on a tie the nerve is kept.  Either way LCM_FACE_CAP bounds the face
-    count.  Neither complex is Hochster's: K^m lives on the unpolarized
-    support of m, and for squarefree m it is the Alexander dual of the
-    restriction Hochster's engine builds.  Keyed on the atoms alone: a
-    lattice element is the lcm of the generators dividing it, so the atoms
-    determine m."""
+    The relation is first reduced to its Dowker core (`_dowker_core`):
+    an atom whose slack mask lies inside another's, and a variable whose
+    atoms (those it is slack in) lie inside another variable's, are
+    dominated vertices of one complex and leave the other unchanged.  K^m of the core is built
+    when the core has fewer variables than atoms; on a tie the nerve is
+    kept.  Either way LCM_FACE_CAP bounds the face count.  Neither complex
+    is Hochster's: K^m lives on the unpolarized support of m, and for
+    squarefree m it is the Alexander dual of the restriction Hochster's
+    engine builds.  Keyed on the atoms alone: a lattice element is the lcm
+    of the generators dividing it, so the atoms determine m."""
     m = tuple(map(max, zip(*atoms)))
     slack = [
         sum(1 << v for v, (a, e) in enumerate(zip(atom, m)) if a < e)
         for atom in atoms
     ]
+    rows, ncols = _dowker_core(slack, len(m))
     try:
-        if sum(1 for e in m if e) < len(atoms):
-            faces = _submask_faces(slack, LCM_FACE_CAP)
+        if ncols < len(rows):
+            faces = _submask_faces(rows, LCM_FACE_CAP)
         else:
-            faces = _nerve_faces(slack, (1 << len(m)) - 1, LCM_FACE_CAP)
+            faces = _nerve_faces(rows, (1 << ncols) - 1, LCM_FACE_CAP)
     except OverflowError:
         raise CapacityError(
             f"crosscut complex exceeded the face cap {LCM_FACE_CAP}"

@@ -187,17 +187,46 @@ def cmd_colon(args):
     return EXIT_OK if agree else EXIT_FAIL
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _params_from_args(args, config=None):
+    """Sweep parameters from the flags, else from the config; CliError for
+    a value of the wrong type or out of range."""
     config = config or {}
+    s_values = (
+        args.s_values
+        if args.s_values is not None
+        else config.get("s_values", (1, 2))
+    )
+    if not (
+        isinstance(s_values, (list, tuple))
+        and s_values
+        and all(map(_is_int, s_values))
+    ):
+        raise CliError(
+            f"s_values must be a nonempty list of integers, not {s_values!r}"
+        )
+    if min(s_values) < 1:
+        raise CliError(f"s must be positive, not {min(s_values)}")
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if not _is_int(seed):
+        raise CliError(f"seed must be an integer, not {seed!r}")
+    multiset_sample = config.get("multiset_sample", 50)
+    if not _is_int(multiset_sample) or multiset_sample < 1:
+        raise CliError(
+            f"multiset_sample must be an integer of at least 1, "
+            f"not {multiset_sample!r}"
+        )
+    jobs = getattr(args, "jobs", 0) or config.get("jobs", 1)
+    if not _is_int(jobs) or jobs < 0:
+        raise CliError(f"jobs must be an integer of at least 0, not {jobs!r}")
     return SweepParams(
-        s_values=tuple(
-            args.s_values
-            if args.s_values is not None
-            else config.get("s_values", (1, 2))
-        ),
-        seed=args.seed if args.seed is not None else config.get("seed", 0),
-        multiset_sample=config.get("multiset_sample", 50),
-        jobs=getattr(args, "jobs", 0) or config.get("jobs", 1),
+        s_values=tuple(s_values),
+        seed=seed,
+        multiset_sample=multiset_sample,
+        jobs=jobs,
         timings=args.timings or config.get("timings", False),
     )
 

@@ -38,6 +38,7 @@ from edgeideals.generators import (
 from edgeideals.graphs import Graph
 from edgeideals.homology import faces_from_nonfaces, reduced_homology_ranks
 from edgeideals.monomials import MonomialIdeal, edge_ideal, minimalize, power
+from test_homology import fraction_boundary_rank, ranks_without_collapse
 
 
 BOTH = ("lcm", "hochster")
@@ -225,6 +226,64 @@ class TestIntervals:
             assert betti_table_lcm(I) == betti_table_hochster(I)
 
 
+# Relations of 1-8 rows over 1-10 columns, as row masks.
+relations = st.integers(1, 10).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8),
+    )
+)
+
+
+def nerve_of(rows):
+    """The rows' nerve by definition: row sets whose masks share a column."""
+    return [
+        sum(1 << k for k in sub)
+        for r in range(1, len(rows) + 1)
+        for sub in itertools.combinations(range(len(rows)), r)
+        if functools.reduce(operator.and_, (rows[k] for k in sub))
+    ]
+
+
+def submasks_of(rows, ncols):
+    """The column sets inside some row, by definition (K^m for slack rows)."""
+    return [
+        f for f in range(1, 1 << ncols) if any(f & r == f for r in rows)
+    ]
+
+
+class TestDowkerCore:
+    @settings(max_examples=200, deadline=None)
+    @given(relations)
+    @example((3, [0b011, 0b110, 0b101]))  # a circle on either side
+    @example((2, [0, 0]))  # {empty face} on either side
+    def test_core_against_the_relation(self, relation):
+        ncols, rows = relation
+        nerve = nerve_of(rows)
+        expected = ranks_without_collapse(nerve, fraction_boundary_rank)
+        assert reduced_homology_ranks(nerve) == expected
+        assert reduced_homology_ranks(submasks_of(rows, ncols)) == expected
+        core, ccols = betti._dowker_core(rows, ncols)
+        assert reduced_homology_ranks(nerve_of(core)) == expected
+        assert reduced_homology_ranks(submasks_of(core, ccols)) == expected
+        # No row or column of the core lies inside another, or equals it,
+        # so a second reduction changes nothing.
+        for side in (core, betti._transpose(core, ccols)):
+            for a, b in itertools.permutations(side, 2):
+                assert a & b != a
+        again, again_cols = betti._dowker_core(core, ccols)
+        assert (sorted(again), again_cols) == (sorted(core), ccols)
+
+    def test_examples(self):
+        # Each column of the circle is in two rows; nothing is dominated.
+        assert sorted(betti._dowker_core([0b011, 0b110, 0b101], 3)[0]) == [
+            0b011, 0b101, 0b110
+        ]
+        # A row inside another goes, then the columns it separated merge.
+        assert betti._dowker_core([0b011, 0b001], 2) == ([0b1], 1)
+        assert betti._dowker_core([0, 0], 3) == ([0], 1)
+
+
 def minimal_masks(masks):
     return [m for m in masks if not any(o != m and o & m == o for o in masks)]
 
@@ -345,6 +404,126 @@ class TestReductions:
         assert calls == ["_submask_faces", "faces_from_nonfaces"]
 
 
+# Antichains of nonfaces on at most 14 vertices, empty included.
+antichains = st.integers(1, 14).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.integers(1, (1 << n) - 1), max_size=10).map(
+            lambda masks: tuple(minimal_masks(masks))
+        ),
+    )
+)
+
+
+class TestFaceCount:
+    @settings(max_examples=300, deadline=None)
+    @given(antichains, st.data())
+    @example((14, ()), None)  # the full simplex
+    @example((3, (0b001,)), None)  # a one-vertex nonface
+    def test_against_enumeration(self, case, data):
+        n, nonfaces = case
+        total = len(faces_from_nonfaces(n, nonfaces)) + 1
+        assert betti._face_count(n, nonfaces, total) == total
+        caps = [total - 1, total + 1]
+        if data is not None:
+            caps.append(data.draw(st.integers(0, total)))
+        for cap in caps:
+            assert betti._face_count(n, nonfaces, cap) == min(total, cap + 1)
+
+
+def path_component(n):
+    """The independence complex of the path on n vertices, as a component:
+    one nonface per edge."""
+    return n, tuple((1 << v) | (1 << (v + 1)) for v in range(n - 1))
+
+
+# The Alexander dual of this component is the cycle C13 as a graph, so its
+# nerve is small (26 faces) while the complex has over 8,000 faces.
+CYCLE_DUAL = (
+    13,
+    tuple(((1 << 13) - 1) ^ (1 << v | 1 << (v + 1) % 13) for v in range(13)),
+)
+
+
+def primal_route(c, nonfaces):
+    return betti._ranks_to_poly(
+        reduced_homology_ranks(faces_from_nonfaces(c, nonfaces))
+    )
+
+
+def record_calls(monkeypatch, *names):
+    calls = []
+    for name in names:
+        fn = getattr(betti, name)
+
+        def record(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(betti, name, record)
+    return calls
+
+
+class TestCappedRoutes:
+    # The path on 14 vertices: vertex 0 lies in 12 dual facets, so the
+    # nerve has at least 2^12 - 1 = 4095 faces, while the complex has 986
+    # (the Fibonacci number F(16), less the empty face); it is S^4.
+    P14 = path_component(14)
+    P14_POLY = (0, 0, 0, 0, 0, 1)
+
+    def test_certified_nerve_leaves_the_primal(self, monkeypatch):
+        primal = faces_from_nonfaces(*self.P14)
+        assert len(primal) == 986
+        assert primal_route(*self.P14) == self.P14_POLY
+        calls = record_calls(monkeypatch, "_nerve_faces", "faces_from_nonfaces")
+        monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", len(primal))
+        assert betti._capped_component_poly(*self.P14) == self.P14_POLY
+        assert calls == ["faces_from_nonfaces"]
+        # One face fewer: both routes are certified over, neither runs.
+        calls.clear()
+        monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", len(primal) - 1)
+        with pytest.raises(CapacityError, match="face cap 985"):
+            betti._capped_component_poly(*self.P14)
+        assert calls == []
+
+    def test_nerve_bound_is_tight(self, monkeypatch):
+        # The nerve is skipped only when its simplex alone is over the
+        # cap: at 4095 it still runs (and overflows), at 4094 it does not.
+        # An overflowed nerve's faces are freed before the complex is
+        # enumerated.
+        calls = record_calls(monkeypatch, "_nerve_faces", "faces_from_nonfaces")
+        enumerate_primal = betti.faces_from_nonfaces
+        overflowed = []
+
+        def probe(*args, **kwargs):
+            overflowed.append(
+                sum(
+                    1
+                    for o in gc.get_objects()
+                    if isinstance(o, list) and len(o) == 4096
+                )
+            )
+            return enumerate_primal(*args, **kwargs)
+
+        monkeypatch.setattr(betti, "faces_from_nonfaces", probe)
+        for cap, route in (
+            (4095, ["_nerve_faces", "faces_from_nonfaces"]),
+            (4094, ["faces_from_nonfaces"]),
+        ):
+            calls.clear()
+            monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", cap)
+            assert betti._capped_component_poly(*self.P14) == self.P14_POLY
+            assert calls == route
+        assert overflowed == [0, 0]
+
+    def test_small_nerve_answers(self, monkeypatch):
+        expected = primal_route(*CYCLE_DUAL)
+        assert expected == (0,) * 10 + (1,)  # the dual is a circle
+        calls = record_calls(monkeypatch, "_nerve_faces", "faces_from_nonfaces")
+        assert betti._capped_component_poly(*CYCLE_DUAL) == expected
+        assert calls == ["_nerve_faces"]
+
+
 class TestHochsterSweep:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -409,9 +588,9 @@ class TestHochsterSweep:
                 betti_table_hochster(power(I_of(H), 2))
 
     def test_capacity_error_keeps_no_abandoned_route(self, monkeypatch):
-        # The nerve's overflowed faces are freed before the primal route
-        # runs, the primal's before the error reaches the caller, and
-        # neither overflow is chained to the error.
+        # The 20-vertex component of corona(C5)^2 is certified over the
+        # cap on both routes, so neither enumerator starts, no face list is
+        # left behind, and no overflow is chained to the error.
         def overflowed():
             return sum(
                 1
@@ -419,18 +598,12 @@ class TestHochsterSweep:
                 if isinstance(o, list) and len(o) == betti.HOMOLOGY_FACE_CAP + 1
             )
 
-        at_primal = []
-        primal = betti.faces_from_nonfaces
-
-        def record(*args, **kwargs):
-            at_primal.append(overflowed())
-            return primal(*args, **kwargs)
-
-        monkeypatch.setattr(betti, "faces_from_nonfaces", record)
+        calls = record_calls(monkeypatch, "_nerve_faces", "faces_from_nonfaces")
+        betti.component_homology_poly.cache_clear()
         with pytest.raises(CapacityError, match="on 20 vertices") as exc:
             betti_table_hochster(power(I_of(corona(cycle_graph(5))), 2))
         assert exc.value.__context__ is None
-        assert at_primal and not any(at_primal)
+        assert calls == []
         assert overflowed() == 0
 
     def test_face_cap_reported_before_the_union_cap(self, monkeypatch):

@@ -457,6 +457,50 @@ class TestSweep:
         argv = ["sweep", "--config", self._bht_on_p4(tmp_path), "--jobs", jobs]
         assert usage_error(argv) == 2
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("jobs", -3, "jobs must be"),
+            ("jobs", 1.5, "jobs must be"),
+            ("jobs", "2", "jobs must be"),
+            ("s_values", [], "s_values must be"),
+            ("s_values", 2, "s_values must be"),
+            ("s_values", [1, "2"], "s_values must be"),
+            ("s_values", [1, 0], "s must be positive"),
+            ("s_values", [-1], "s must be positive"),
+            ("multiset_sample", 0, "multiset_sample must be"),
+            ("multiset_sample", 2.5, "multiset_sample must be"),
+            ("seed", "7", "seed must be"),
+            ("seed", 1.5, "seed must be"),
+            ("seed", True, "seed must be"),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, key, value,
+                                      message):
+        cfg = self._config(
+            tmp_path,
+            {
+                "family": {"kind": "named", "names": ["P4"]},
+                "checks": ["bht"],
+                key: value,
+            },
+        )
+        assert main(["sweep", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_config_jobs_zero_runs_serially(self, capsys, tmp_path):
+        cfg = self._config(
+            tmp_path,
+            {
+                "family": {"kind": "named", "names": ["P4"]},
+                "checks": ["bht"],
+                "s_values": [1],
+                "jobs": 0,
+            },
+        )
+        assert main(["sweep", "--config", cfg]) == 0
+
 
 class TestGenerate:
     def test_named_kind(self, capsys):

@@ -57,8 +57,22 @@ def fraction_rank(rows):
     return rank
 
 
-def ranks_without_collapse(faces):
-    """Reduced homology by raw boundary ranks, bypassing _collapse."""
+def fraction_boundary_rank(lower_faces, upper_faces):
+    """`boundary_rank` by the Fraction oracle: the same signed boundary
+    matrix, ranked by dense elimination over Q."""
+    index = {f: i for i, f in enumerate(lower_faces)}
+    rows = []
+    for f in upper_faces:
+        bits = [b for b in range(f.bit_length()) if f >> b & 1]
+        rows.append(
+            {index[f ^ (1 << b)]: (-1) ** k for k, b in enumerate(bits)}
+        )
+    return fraction_rank(rows)
+
+
+def ranks_without_collapse(faces, rank=boundary_rank):
+    """Reduced homology by raw boundary ranks, bypassing _collapse; `rank`
+    ranks each boundary map."""
     by_dim = {}
     for f in faces:
         by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
@@ -68,7 +82,7 @@ def ranks_without_collapse(faces):
     counts = {d: len(fs) for d, fs in by_dim.items()}
     ranks = {0: 1}  # augmentation onto the empty face
     for d in range(1, top + 1):
-        ranks[d] = boundary_rank(
+        ranks[d] = rank(
             sorted(by_dim.get(d - 1, [])), sorted(by_dim.get(d, []))
         )
     hom = {}
