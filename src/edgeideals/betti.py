@@ -16,8 +16,8 @@ vertices; on a tie, the crosscut complex.  The engine stays independent
 of Hochster: it works on the unpolarized support of m, while Hochster
 restricts the polarized Stanley-Reisner complex, and for squarefree m,
 K^m is the Alexander dual of Hochster's restriction.  The two engines
-share the homology kernel and two generic face enumerators, `_nerve_faces`
-and `_submask_faces`, which each engine runs on complexes of its own.
+share the homology kernel and the submask face enumerator
+`_submask_faces`, which each runs on complexes of its own.
 
 Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
@@ -25,21 +25,23 @@ Stanley-Reisner complex.  Only subsets that are unions of minimal nonfaces
 can carry homology (anything else restricts to a cone), so the sweep runs
 over the union closure of the generator supports.  Restrictions decompose
 as joins over connected components of their nonfaces, and component
-homology is memoized globally.  A component on at most 12 vertices is
+homology is memoized globally.  Every component, whatever its size, is
 first reduced from its nonface list, without listing a face: when the
 deletion of some vertex is a cone, its polynomial is t times the link's;
 when the link is a cone, it is the deletion's.  The pieces recurse
-through the same memo.  Only a component where no vertex qualifies has its faces
-enumerated, on whichever of its complex and its Alexander dual has fewer
-(the two have 2^c between them, so the dual is enumerated first and
-abandoned past half).  A larger component tries the nerve of the dual's
-facets, then the complex, under the face cap, and starts neither where a
-certificate shows it would overflow: a nerve simplex over the cap, or an
-exact face count of the complex over it; every capacity skip is decided
-there.  The lcm engine reduces by strong collapses on its own relation,
-a different theorem on a different complex from deletion and link, and
-still enumerates the faces of the core's complex, so wherever both
-engines answer, the reductions are checked against an independent route.
+through the same memo.  Only a component where no vertex qualifies has its
+faces enumerated, on whichever of its complex and its Alexander dual has
+fewer (the two have 2^c between them, and an exact face count of the
+complex, stopped at half, picks the side).  The face cap is a certified test, not an
+enumeration bound: a component raises only where both the nerve of its
+dual's facets and the complex are certified over the cap (a nerve simplex
+over the cap, and an exact face count of the complex over it), and both
+certificates only shrink under the reductions, so every capacity skip is
+decided before any piece is computed.  The lcm engine reduces by strong
+collapses on its own relation, a different theorem on a different complex
+from deletion and link, and still enumerates the faces of the core's
+complex, so wherever both engines answer, the reductions are checked
+against an independent route.
 The full support, often the first restriction to exceed the face cap, is
 computed before the union closure is built, and the sweep then goes from
 the largest restriction down; the order cannot change a table (entries
@@ -156,10 +158,8 @@ def _check_ideal(I):
 
 
 # ---------------------------------------------------------------------------
-# Face enumerators shared by both engines, and homology polynomials of
-# complexes-with-nonfaces.
-#
-# `_nerve_faces` and `_submask_faces` are generic: the lcm engine runs them
+# Homology polynomials of complexes-with-nonfaces, and the submask face
+# enumerator shared by both engines: the lcm engine runs `_submask_faces`
 # on the slack masks of an interval, Hochster on the nonface complements
 # of a component (its Alexander dual).
 #
@@ -190,33 +190,6 @@ def _poly_mul(a, b):
     return tuple(out)
 
 
-def _nerve_faces(facets, full, cap):
-    """Nonempty faces of the nerve of a cover by simplices: subsets of
-    facets with nonzero common intersection.  Intersections only shrink
-    along the DFS, so zero-intersection branches are pruned whole."""
-    k = len(facets)
-    faces = []
-
-    def extend(start, inter, mask):
-        for j in range(start, k):
-            inter2 = inter & facets[j]
-            if not inter2:
-                continue
-            m2 = mask | (1 << j)
-            faces.append(m2)
-            if cap is not None and len(faces) > cap:
-                raise OverflowError("nerve face cap exceeded")
-            extend(j + 1, inter2, m2)
-
-    try:
-        extend(0, full, 0)
-    finally:
-        # `extend` reaches itself through its closure; breaking that cycle
-        # frees the faces at once, also when the cap raises.
-        del extend
-    return faces
-
-
 def _submask_faces(masks, cap):
     """Nonempty faces of the union of the simplices on the given masks:
     every nonempty submask of one of them.  Larger masks go first, so a
@@ -235,75 +208,26 @@ def _submask_faces(masks, cap):
 
 
 def _enumerated_component_poly(nvertices, nonfaces):
-    """Homology polynomial of a component on at most 12 vertices, from the
-    faces of whichever of the complex and its Alexander dual has fewer.
+    """Homology polynomial of a component that no deletion or link
+    reduces, from the faces of whichever of the complex and its Alexander
+    dual has fewer.
 
     Taking complements maps the dual's faces onto the complex's nonfaces,
-    so the two have 2^c faces between them, 2^c - 2 of them nonempty.  The
-    dual is enumerated first, up to 2^(c-1) - 1 nonempty faces; past that
-    the complex itself has at most 2^(c-1) - 2 and is enumerated instead.
-    No face cap applies."""
-    full = (1 << nvertices) - 1
-    try:
-        dual = _submask_faces(
-            [full ^ nf for nf in nonfaces], (1 << (nvertices - 1)) - 1
-        )
-    except OverflowError:
-        pass
-    else:
-        dual_ranks = reduced_homology_ranks(dual)
-        return _ranks_to_poly(
-            {nvertices - 3 - d: r for d, r in dual_ranks.items()}
-        )
-    faces = faces_from_nonfaces(nvertices, nonfaces, cap=None)
-    return _ranks_to_poly(reduced_homology_ranks(faces))
-
-
-def _capped_component_poly(nvertices, nonfaces):
-    """Homology polynomial of a component above 12 vertices: the nerve of
-    the dual's facets, else the complex, each under HOMOLOGY_FACE_CAP.
-
-    No route starts that is certain to overflow.  The dual facets through
-    one vertex all meet there, so they span a simplex of the nerve: with t
-    of them at the busiest vertex, the nerve has at least 2^t - 1 nonempty
-    faces, and its DFS is skipped when that is over the cap.  The complex
-    is enumerated only when `_face_count`, exact up to the cap, says it
-    fits.  When neither route answers, CapacityError names both.
-
-    The complex is enumerated, and CapacityError is raised, outside the
-    nerve's `except` block, so no traceback keeps an overflowed nerve's
-    faces alive."""
-    full = (1 << nvertices) - 1
-    # Alexander-dual route: the dual complex is the union of the simplices
-    # on the nonface complements.  Its homotopy type is the nerve of that
-    # cover (simplices intersect in simplices, which are empty or
-    # contractible), a complex with one vertex per nonface;
-    # H~_d(primal) = H~_(n-d-3)(dual) over the rationals.  The nerve DFS
-    # prunes the moment an intersection empties, so the cost is
-    # proportional to the nerve's actual face count.
-    facets = [full ^ nf for nf in nonfaces if full ^ nf]
-    busiest = max(sum(f >> v & 1 for f in facets) for v in range(nvertices))
-    if (1 << busiest) - 1 <= HOMOLOGY_FACE_CAP:
-        try:
-            nerve = _nerve_faces(facets, full, HOMOLOGY_FACE_CAP)
-        except OverflowError:
-            pass
-        else:
-            dual = reduced_homology_ranks(nerve)
-            return _ranks_to_poly(
-                {nvertices - 3 - d: r for d, r in dual.items()}
-            )
-    # The empty face is counted too, so the nonempty ones fit the cap
-    # exactly when the count is at most cap + 1.
-    if _face_count(nvertices, nonfaces, HOMOLOGY_FACE_CAP + 1) <= (
-        HOMOLOGY_FACE_CAP + 1
-    ):
+    so the two have 2^c faces between them, the empty ones included.
+    `_face_count` picks the side without building a face: the complex when
+    it has fewer than 2^(c-1) faces, else the dual, which then has at most
+    2^(c-1) - 1 nonempty ones.  No face cap applies: the components that
+    reach here are small, at most 8 vertices on every ideal of criteria 1
+    and 8."""
+    half = 1 << (nvertices - 1)
+    if _face_count(nvertices, nonfaces, half - 1) < half:
         faces = faces_from_nonfaces(nvertices, nonfaces)
         return _ranks_to_poly(reduced_homology_ranks(faces))
-    raise CapacityError(
-        f"restricted complex on {nvertices} vertices exceeded "
-        f"the face cap {HOMOLOGY_FACE_CAP} on both the "
-        f"primal and the dual-nerve route"
+    full = (1 << nvertices) - 1
+    dual = _submask_faces([full ^ nf for nf in nonfaces], half - 1)
+    dual_ranks = reduced_homology_ranks(dual)
+    return _ranks_to_poly(
+        {nvertices - 3 - d: r for d, r in dual_ranks.items()}
     )
 
 
@@ -419,24 +343,42 @@ def _reduce_by_vertex(nvertices, nonfaces):
 
 # Components and the pieces the reductions leave share this memo.
 # Each run alone, criterion 8 (all n <= 6) peaks at 14,229 entries and
-# criterion 1 at 15,038.
+# criterion 1 at 15,508.
 @lru_cache(maxsize=1 << 15)
 def component_homology_poly(nvertices, nonfaces):
     """Homology polynomial of the complex on 0..nvertices-1 with the given
     minimal nonfaces, every vertex lying in at least one nonface.
 
-    - Up to 12 vertices one deletion or link reduces the component to
-      smaller ones, memoized here too, when some vertex qualifies
-      (`_reduce_by_vertex`); otherwise its faces, or its Alexander dual's,
-      are enumerated (`_enumerated_component_poly`).  No face cap applies.
-    - Above 12 vertices the nerve of the dual's facets is tried first, then
-      the complex, each under HOMOLOGY_FACE_CAP and each only when not
-      certified over it; CapacityError when both exceed it
-      (`_capped_component_poly`).  Every capacity skip is decided here,
-      and the reductions never run here.
+    One deletion or link reduces the component to smaller ones, memoized
+    here too, when some vertex qualifies (`_reduce_by_vertex`); otherwise
+    its faces, or its Alexander dual's, are enumerated
+    (`_enumerated_component_poly`).
+
+    HOMOLOGY_FACE_CAP is a certified threshold, not an enumeration bound.
+    Where 2^c - 1 nonempty faces could pass it, CapacityError is raised
+    first exactly when both routes are certified over it: the nerve of the
+    dual's facets, since the t facets through the busiest vertex (the
+    nonfaces avoiding it) span a simplex of 2^t - 1 faces, and the complex
+    by its exact face count (`_face_count`).  Both numbers only shrink
+    under deletion, link and splitting into components, so no piece of a
+    component that passes can raise, and every capacity skip is decided on
+    the component the sweep asked for.
     """
-    if nvertices > 12:
-        return _capped_component_poly(nvertices, nonfaces)
+    cap = HOMOLOGY_FACE_CAP
+    if (1 << nvertices) - 1 > cap:
+        busiest = max(
+            sum(not nf >> v & 1 for nf in nonfaces) for v in range(nvertices)
+        )
+        # The empty face is counted too, so the nonempty ones fit the cap
+        # exactly when the count is at most cap + 1.
+        if (1 << busiest) - 1 > cap and (
+            _face_count(nvertices, nonfaces, cap + 1) > cap + 1
+        ):
+            raise CapacityError(
+                f"restricted complex on {nvertices} vertices exceeded "
+                f"the face cap {cap} on both the "
+                f"primal and the dual-nerve route"
+            )
     poly = _reduce_by_vertex(nvertices, nonfaces)
     if poly is None:
         poly = _enumerated_component_poly(nvertices, nonfaces)
@@ -621,6 +563,34 @@ def lcm_lattice(I):
                     new.append(u)
         frontier = new
     return seen
+
+
+def _nerve_faces(facets, full, cap):
+    """Nonempty faces of the nerve of a cover by simplices: subsets of
+    facets with nonzero common intersection.  Intersections only shrink
+    along the DFS, so zero-intersection branches are pruned whole.
+    Raises OverflowError past `cap` faces."""
+    k = len(facets)
+    faces = []
+
+    def extend(start, inter, mask):
+        for j in range(start, k):
+            inter2 = inter & facets[j]
+            if not inter2:
+                continue
+            m2 = mask | (1 << j)
+            faces.append(m2)
+            if len(faces) > cap:
+                raise OverflowError("nerve face cap exceeded")
+            extend(j + 1, inter2, m2)
+
+    try:
+        extend(0, full, 0)
+    finally:
+        # `extend` reaches itself through its closure; breaking that cycle
+        # frees the faces at once, also when the cap raises.
+        del extend
+    return faces
 
 
 def _maximal(masks):

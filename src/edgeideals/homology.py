@@ -211,9 +211,9 @@ def reduced_homology_ranks(faces):
     return hom
 
 
-def faces_from_nonfaces(nvertices, nonfaces, cap=None):
+def faces_from_nonfaces(nvertices, nonfaces):
     """All nonempty faces of the complex on 0..nvertices-1 whose minimal
-    nonfaces are the given bitmasks.  Raises OverflowError past `cap`.
+    nonfaces are the given bitmasks.
 
     The DFS only adds a vertex above every vertex already in the face, so
     a nonface can block vertex v only when v is its top vertex; each
@@ -251,14 +251,12 @@ def faces_from_nonfaces(nvertices, nonfaces, cap=None):
                 continue
             newf = face | bit
             faces.append(newf)
-            if cap is not None and len(faces) > cap:
-                raise OverflowError("face enumeration exceeded cap")
             extend(newf, i + 1)
 
     try:
         extend(0, 0)
     finally:
         # `extend` reaches itself through its closure; breaking that cycle
-        # frees the faces at once, also when the cap raises.
+        # frees the faces at once.
         del extend
     return faces

@@ -12,7 +12,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgeideals import betti
@@ -318,9 +318,9 @@ class TestComponentSides:
         calls = []
         enumerate_primal = betti.faces_from_nonfaces
 
-        def record(nvertices, nonfaces, cap=None):
+        def record(nvertices, nonfaces):
             calls.append((nvertices, nonfaces))
-            return enumerate_primal(nvertices, nonfaces, cap)
+            return enumerate_primal(nvertices, nonfaces)
 
         monkeypatch.setattr(betti, "faces_from_nonfaces", record)
         poly = betti._enumerated_component_poly
@@ -331,6 +331,17 @@ class TestComponentSides:
         assert calls == []
         assert poly(*PRIMAL_WINS) == (0, 3)  # four points
         assert calls == [PRIMAL_WINS]
+
+    def test_small_complex_never_enumerates_the_dual(self, monkeypatch):
+        # The independence complex of a dense graph on 20 vertices: no
+        # deletion or link reduces it, and its 260 faces are listed
+        # without building any of the dual's more than 2^19.
+        G = random_graph(20, 0.6, seed=5)
+        case = (20, tuple(sorted(1 << u | 1 << v for u, v in G.edges)))
+        assert betti._reduce_by_vertex(*case) is None
+        calls = record_calls(monkeypatch, "_submask_faces")
+        assert betti._enumerated_component_poly(*case) == primal_route(*case)
+        assert calls == []
 
 
 # Independence complex of the path 0-1-2-3: the path 2-0-3-1.  Rule 2
@@ -400,8 +411,9 @@ class TestReductions:
         ):
             betti.component_homology_poly(*case)
         assert calls == []
-        betti.component_homology_poly(*PRIMAL_WINS)  # no vertex qualifies
-        assert calls == ["_submask_faces", "faces_from_nonfaces"]
+        # No vertex qualifies, and the complex is the smaller side.
+        betti.component_homology_poly(*PRIMAL_WINS)
+        assert calls == ["faces_from_nonfaces"]
 
 
 # Antichains of nonfaces on at most 14 vertices, empty included.
@@ -443,6 +455,7 @@ CYCLE_DUAL = (
     13,
     tuple(((1 << 13) - 1) ^ (1 << v | 1 << (v + 1) % 13) for v in range(13)),
 )
+CYCLE_DUAL_POLY = (0,) * 10 + (1,)  # the dual is a circle
 
 
 def primal_route(c, nonfaces):
@@ -464,64 +477,179 @@ def record_calls(monkeypatch, *names):
     return calls
 
 
+def alexander_dual_route(c, nonfaces):
+    """The primal's homology polynomial by Alexander duality, from every
+    nonempty submask of the nonface complements: H~_d(complex) =
+    H~_(c-d-3)(dual)."""
+    full = (1 << c) - 1
+    faces = set()
+    for nf in nonfaces:
+        facet = full ^ nf
+        sub = facet
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & facet
+    ranks = reduced_homology_ranks(list(faces))
+    return betti._ranks_to_poly({c - 3 - d: r for d, r in ranks.items()})
+
+
+def graph_side(n):
+    """Edge sets on n vertices, each pair kept or not: independence
+    complexes with few faces, where the face count decides."""
+    pairs = list(itertools.combinations(range(n), 2))
+    keeps = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    return keeps.map(
+        lambda keep: [1 << u | 1 << v for (u, v), k in zip(pairs, keep) if k]
+    )
+
+
+def dual_side(n):
+    """Complements of at most 12 sets of at most 5 vertices: complexes
+    with a small Alexander dual, where the nerve simplex decides."""
+    full = (1 << n) - 1
+    return st.lists(
+        st.sets(st.integers(0, n - 1), min_size=1, max_size=5),
+        min_size=1,
+        max_size=12,
+    ).map(lambda facets: [full ^ sum(1 << v for v in f) for f in facets])
+
+
+# Antichains relabelled onto the vertices they cover, drawn on 15-18.
+large_antichains = (
+    st.integers(15, 18)
+    .flatmap(lambda n: st.one_of(graph_side(n), dual_side(n)))
+    .map(lambda masks: betti._localize(minimal_masks(sorted(set(masks)))))
+)
+
+
 class TestCappedRoutes:
-    # The path on 14 vertices: vertex 0 lies in 12 dual facets, so the
+    """HOMOLOGY_FACE_CAP as a certified test: CapacityError exactly when
+    both the nerve of the dual's facets and the complex are certified over
+    the cap, decided before any deletion, link or enumeration runs."""
+
+    # The path on 14 vertices: vertex 0 is avoided by 12 nonfaces, so the
     # nerve has at least 2^12 - 1 = 4095 faces, while the complex has 986
     # (the Fibonacci number F(16), less the empty face); it is S^4.
     P14 = path_component(14)
     P14_POLY = (0, 0, 0, 0, 0, 1)
 
     def test_certified_nerve_leaves_the_primal(self, monkeypatch):
+        # The nerve is certified over the cap, so the face count decides.
         primal = faces_from_nonfaces(*self.P14)
         assert len(primal) == 986
         assert primal_route(*self.P14) == self.P14_POLY
-        calls = record_calls(monkeypatch, "_nerve_faces", "faces_from_nonfaces")
+        poly = betti.component_homology_poly.__wrapped__
+        calls = record_calls(
+            monkeypatch, "faces_from_nonfaces", "_submask_faces"
+        )
+        betti.component_homology_poly.cache_clear()
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", len(primal))
-        assert betti._capped_component_poly(*self.P14) == self.P14_POLY
-        assert calls == ["faces_from_nonfaces"]
-        # One face fewer: both routes are certified over, neither runs.
-        calls.clear()
+        assert poly(*self.P14) == self.P14_POLY
+        # One face fewer: both routes are certified over, and the component
+        # raises before anything is enumerated.
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", len(primal) - 1)
+        betti.component_homology_poly.cache_clear()
         with pytest.raises(CapacityError, match="face cap 985"):
-            betti._capped_component_poly(*self.P14)
+            poly(*self.P14)
         assert calls == []
 
     def test_nerve_bound_is_tight(self, monkeypatch):
-        # The nerve is skipped only when its simplex alone is over the
-        # cap: at 4095 it still runs (and overflows), at 4094 it does not.
-        # An overflowed nerve's faces are freed before the complex is
-        # enumerated.
-        calls = record_calls(monkeypatch, "_nerve_faces", "faces_from_nonfaces")
-        enumerate_primal = betti.faces_from_nonfaces
-        overflowed = []
-
-        def probe(*args, **kwargs):
-            overflowed.append(
-                sum(
-                    1
-                    for o in gc.get_objects()
-                    if isinstance(o, list) and len(o) == 4096
-                )
-            )
-            return enumerate_primal(*args, **kwargs)
-
-        monkeypatch.setattr(betti, "faces_from_nonfaces", probe)
-        for cap, route in (
-            (4095, ["_nerve_faces", "faces_from_nonfaces"]),
-            (4094, ["faces_from_nonfaces"]),
-        ):
-            calls.clear()
-            monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", cap)
-            assert betti._capped_component_poly(*self.P14) == self.P14_POLY
-            assert calls == route
-        assert overflowed == [0, 0]
+        # Every vertex of CYCLE_DUAL is avoided by two nonfaces and its
+        # complex has 8,164 faces: the nerve simplex of 2^2 - 1 = 3 faces
+        # lets it through at cap 3, and at cap 2 both are over.
+        poly = betti.component_homology_poly.__wrapped__
+        betti.component_homology_poly.cache_clear()
+        monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 3)
+        assert poly(*CYCLE_DUAL) == CYCLE_DUAL_POLY
+        monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 2)
+        betti.component_homology_poly.cache_clear()
+        with pytest.raises(CapacityError, match="13 vertices .* face cap 2 "):
+            poly(*CYCLE_DUAL)
 
     def test_small_nerve_answers(self, monkeypatch):
-        expected = primal_route(*CYCLE_DUAL)
-        assert expected == (0,) * 10 + (1,)  # the dual is a circle
-        calls = record_calls(monkeypatch, "_nerve_faces", "faces_from_nonfaces")
-        assert betti._capped_component_poly(*CYCLE_DUAL) == expected
-        assert calls == ["_nerve_faces"]
+        assert primal_route(*CYCLE_DUAL) == CYCLE_DUAL_POLY
+        calls = record_calls(monkeypatch, "faces_from_nonfaces")
+        betti.component_homology_poly.cache_clear()
+        monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 100)
+        poly = betti.component_homology_poly.__wrapped__
+        assert poly(*CYCLE_DUAL) == CYCLE_DUAL_POLY
+        assert calls == []
+
+    def test_small_components_are_tested_too(self, monkeypatch):
+        # The 2-skeleton of the simplex on 8 vertices: each vertex is
+        # avoided by 35 of its nonfaces, the 4-sets, and the complex has
+        # 92 nonempty faces, both over a cap that its 255 possible faces
+        # exceed.
+        skeleton = (
+            8,
+            tuple(
+                sum(1 << v for v in four)
+                for four in itertools.combinations(range(8), 4)
+            ),
+        )
+        monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 80)
+        betti.component_homology_poly.cache_clear()
+        with pytest.raises(CapacityError, match="8 vertices .* face cap 80 "):
+            betti.component_homology_poly.__wrapped__(*skeleton)
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_long_paths_reduce_without_enumeration(self, monkeypatch, n):
+        calls = record_calls(
+            monkeypatch, "faces_from_nonfaces", "_submask_faces"
+        )
+        betti.component_homology_poly.cache_clear()
+        got = betti.component_homology_poly.__wrapped__(*path_component(n))
+        assert calls == []
+        assert got == primal_route(*path_component(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(large_antichains, st.data())
+    def test_pieces_of_a_passing_component_never_raise(self, case, data):
+        # Both certified counts only shrink under deletion, link and
+        # splitting, so either the component itself raises or nothing
+        # below it does and the answer is the primal's.
+        c, nonfaces = case
+        assume(c >= 15)
+        busiest = max(
+            sum(not nf >> v & 1 for nf in nonfaces) for v in range(c)
+        )
+        # Exact: the count saturates only past 2^c (TestFaceCount).
+        nfaces = betti._face_count(c, nonfaces, 1 << c) - 1
+        cap = data.draw(
+            st.sampled_from(
+                [nfaces, nfaces - 1, (1 << busiest) - 1, (1 << busiest) - 2]
+            ).filter(lambda cap: cap >= 1)
+            | st.integers(1, 3000),
+            label="cap",
+        )
+        memo = betti.component_homology_poly
+        raised = []
+
+        def record(*args):
+            try:
+                return memo(*args)
+            except CapacityError:
+                raised.append(args)
+                raise
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(betti, "HOMOLOGY_FACE_CAP", cap)
+            mp.setattr(betti, "component_homology_poly", record)
+            memo.cache_clear()
+            try:
+                got = memo.__wrapped__(c, nonfaces)
+            except CapacityError:
+                assert raised == []
+                assert (1 << busiest) - 1 > cap and nfaces > cap
+                return
+            finally:
+                memo.cache_clear()
+        assert raised == []
+        assert (1 << busiest) - 1 <= cap or nfaces <= cap
+        if nfaces <= 4000:
+            assert got == primal_route(c, nonfaces)
+        else:
+            assert got == alexander_dual_route(c, nonfaces)
 
 
 class TestHochsterSweep:
@@ -598,7 +726,9 @@ class TestHochsterSweep:
                 if isinstance(o, list) and len(o) == betti.HOMOLOGY_FACE_CAP + 1
             )
 
-        calls = record_calls(monkeypatch, "_nerve_faces", "faces_from_nonfaces")
+        calls = record_calls(
+            monkeypatch, "_nerve_faces", "_submask_faces", "faces_from_nonfaces"
+        )
         betti.component_homology_poly.cache_clear()
         with pytest.raises(CapacityError, match="on 20 vertices") as exc:
             betti_table_hochster(power(I_of(corona(cycle_graph(5))), 2))
@@ -686,6 +816,16 @@ class TestEngineRule:
         with pytest.raises(CapacityError, match="^both engines over capacity"):
             betti_table(I_of(path_graph(26)))
 
+    def test_hochster_answers_past_an_uncertified_overflow(self):
+        # I(G)^2 polarizes to one component on 16 vertices whose nerve
+        # (30,719 faces) and complex (30,001) are both over the face cap,
+        # yet the nerve simplex bound, 2^14 - 1, is not: the component
+        # passes the capacity test and reduces, so both engines answer.
+        G = Graph.from_edges(8, [(0, 1), (2, 3), (4, 6), (5, 7), (6, 7)])
+        T = betti_table(power(I_of(G), 2))
+        assert T.engines == BOTH
+        assert T.regularity() == 6
+
     def test_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(
             betti, "betti_table_hochster", lambda I: BettiTable({(0, 2): 9})
@@ -730,8 +870,9 @@ class TestCaps:
             betti_table_hochster(I_of(path_graph(25)))
 
     def test_homology_face_cap(self, monkeypatch):
-        # The independence complex of the path on 13 vertices: over 12
-        # vertices, so the face cap applies to both routes.
+        # The independence complex of the path on 13 vertices: 2^13 - 1
+        # faces could pass the patched cap, so the capacity test runs, and
+        # both the nerve simplex and the face count are over it.
         nonfaces = tuple((1 << v) | (1 << (v + 1)) for v in range(12))
         betti.component_homology_poly.cache_clear()
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 5)

@@ -6,7 +6,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -246,6 +245,3 @@ class TestComplexFromNonfaces:
         ]
         assert faces_from_nonfaces(n, nonfaces) == expected
 
-    def test_cap_raises(self):
-        with pytest.raises(OverflowError):
-            faces_from_nonfaces(10, frozenset(), cap=5)
