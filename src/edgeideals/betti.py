@@ -412,23 +412,23 @@ def _localize(nonfaces):
     union = 0
     for nf in nonfaces:
         union |= nf
-    verts = []
+    # Each run of consecutive vertices moves down past the gaps below it.
+    runs = []
+    c = 0
     rem = union
     while rem:
-        bit = rem & -rem
-        verts.append(bit.bit_length() - 1)
-        rem ^= bit
-    pos = {v: i for i, v in enumerate(verts)}
+        low = rem & -rem
+        run = ((rem + low) & ~rem) - low
+        runs.append((run, low.bit_length() - 1 - c))
+        c += run.bit_count()
+        rem ^= run
     local = []
     for nf in nonfaces:
         m = 0
-        r = nf
-        while r:
-            bit = r & -r
-            m |= 1 << pos[bit.bit_length() - 1]
-            r ^= bit
+        for run, shift in runs:
+            m |= (nf & run) >> shift
         local.append(m)
-    return len(verts), tuple(sorted(local))
+    return c, tuple(sorted(local))
 
 
 def restriction_homology_poly(nonfaces):

@@ -15,7 +15,7 @@ import sys
 from . import monomials as mon
 from .betti import CapacityError, EngineDisagreement, betti_table
 from .evenconn import EvenConnectionError, colon_graph, colon_ideal_by_algebra
-from .generators import FamilySpec, GenerationError
+from .generators import FAMILY_KINDS, FamilySpec, GenerationError
 from .graphs import (
     EdgeListParseError,
     GraphError,
@@ -309,27 +309,33 @@ def cmd_sweep(args):
     return _exit_code(report)
 
 
+# The `generate` flags that describe a family, each named as its config key.
+_FAMILY_FLAGS = ("kind", "n", "m", "density", "seed", "odd_girth_min", "cap",
+                 "names")
+
+
 def cmd_generate(args):
+    given = {
+        key: getattr(args, key)
+        for key in _FAMILY_FLAGS
+        if getattr(args, key) is not None
+    }
     if args.config:
+        if given:
+            flags = ", ".join("--" + key.replace("_", "-") for key in given)
+            raise CliError(
+                f"--config describes the whole family; drop {flags}"
+            )
         try:
             with open(args.config, encoding="utf-8") as fh:
                 spec = FamilySpec.from_json_obj(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise CliError(f"bad family config: {exc}") from exc
     else:
         if not args.kind:
             raise CliError("generate needs --kind or --config")
         try:
-            spec = FamilySpec(
-                kind=args.kind,
-                n=args.n,
-                m=args.m,
-                density=args.density,
-                seed=args.seed if args.seed is not None else 0,
-                odd_girth_min=args.odd_girth_min,
-                cap=args.cap,
-                names=tuple(args.names or ()),
-            )
+            spec = FamilySpec.from_json_obj(given)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     graphs = spec.instances()
@@ -416,11 +422,11 @@ def build_parser():
     p = sub.add_parser("generate", help="emit graph families as edge lists")
     common(p)
     p.add_argument("--config")
-    p.add_argument("--kind", choices=("exhaustive-all", "exhaustive-vwc",
-                                      "random-vwc", "named"))
+    p.add_argument("--kind", choices=FAMILY_KINDS)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--density", type=float, default=0.3)
+    p.add_argument("--density", type=float,
+                   help="random-vwc cross-edge density (default 0.3)")
     p.add_argument("--seed", type=int)
     p.add_argument("--odd-girth-min", dest="odd_girth_min", type=int)
     p.add_argument("--cap", type=int)

@@ -175,17 +175,16 @@ _BLOCK_PATTERNS = (
 
 def _vwc_search(m):
     """All cross-edge assignments whose fixed matching certifies; yields
-    frozensets of edges on 2m labeled vertices."""
+    frozensets of edges on 2m labeled vertices, one at a time."""
     matching = [(2 * i, 2 * i + 1) for i in range(m)]
     base = [0] * (2 * m)
     for x, y in matching:
         base[x] |= 1 << y
         base[y] |= 1 << x
-    out = []
 
     def place(t, adj, edges):
         if t == m:
-            out.append(frozenset(edges))
+            yield frozenset(edges)
             return
         # Assign patterns for all pairs (i, t), i < t, then certify the
         # prefix on blocks 0..t: its induced subgraph is final, so a
@@ -193,7 +192,7 @@ def _vwc_search(m):
         def assign(i, adj2, edges2):
             if i == t:
                 if certificate_conditions_hold(adj2, matching[: t + 1]):
-                    place(t + 1, adj2, edges2)
+                    yield from place(t + 1, adj2, edges2)
                 return
             for pattern in _BLOCK_PATTERNS:
                 adj3 = adj2
@@ -214,37 +213,81 @@ def _vwc_search(m):
                             ok = False
                             break
                 if ok:
-                    assign(i + 1, adj3, edges3)
+                    yield from assign(i + 1, adj3, edges3)
 
-        assign(0, adj, edges)
+        yield from assign(0, adj, edges)
 
-    place(1, base, matching)
+    yield from place(1, base, matching)
+
+
+def _matching_relabelings(m):
+    """The 2^m * m! vertex permutations of 2m vertices that map the
+    matching {(2i, 2i+1)} onto itself: permute the blocks, and swap the
+    two ends of any subset of them."""
+    out = []
+    for order in itertools.permutations(range(m)):
+        for swaps in range(1 << m):
+            perm = [0] * (2 * m)
+            for i, j in enumerate(order):
+                s = swaps >> i & 1
+                perm[2 * i] = 2 * j + s
+                perm[2 * i + 1] = 2 * j + 1 - s
+            out.append(tuple(perm))
     return out
 
 
-def enumerate_vwc_graphs(m, odd_girth_min=None):
-    """Very well-covered graphs on 2m vertices, one per isomorphism
-    class, optionally filtered to odd-girth >= odd_girth_min.  Every
-    emitted graph is re-checked by the independent recognizer."""
+def enumerate_vwc_graphs(m):
+    """Very well-covered graphs on 2m vertices, one per isomorphism class,
+    sorted by edge count, then edge list.  Every emitted graph is
+    re-checked by the independent recognizer.
+
+    Each class is represented by the first output of `_vwc_search(m)`
+    that falls in it.  A relabeling that keeps the fixed matching maps
+    every output to an isomorphic edge set, so once an output has been
+    keyed, all of its images under those 2^m * m! relabelings are marked
+    and skipped without a `canonical_key` call.  Skipping is sound: the
+    first output of a class could be marked only as the image of an
+    earlier output, which would lie in the same class.  Marks are edge
+    bitmasks over the vertex-pair slots u * 2m + v (u < v); each is
+    dropped once reached, since the search yields every edge set once."""
     if not 1 <= m <= 5:
         raise GraphError(f"vwc enumeration supports 1 <= m <= 5, got {m}")
+    n = 2 * m
+    # For each relabeling, the slot each pair slot moves to.
+    slot_maps = []
+    for perm in _matching_relabelings(m):
+        slot_map = [0] * (n * n)
+        for u in range(n):
+            for v in range(u + 1, n):
+                a, b = perm[u], perm[v]
+                slot_map[u * n + v] = a * n + b if a < b else b * n + a
+        slot_maps.append(slot_map)
     seen = {}
+    marked = set()
     for edges in _vwc_search(m):
-        key = canonical_key(Graph(2 * m, edges))
-        if key not in seen:
-            seen[key] = Graph(2 * m, edges)
+        slots = [u * n + v for u, v in edges]
+        mask = 0
+        for slot in slots:
+            mask |= 1 << slot
+        if mask in marked:
+            marked.discard(mask)
+            continue
+        G = Graph(n, edges)
+        seen.setdefault(canonical_key(G), G)
+        for slot_map in slot_maps:
+            image = 0
+            for slot in slots:
+                image |= 1 << slot_map[slot]
+            marked.add(image)
+        marked.discard(mask)
     graphs = sorted(seen.values(), key=lambda G: (len(G.edges), G.sorted_edges))
-    out = []
     for G in graphs:
         if not is_very_well_covered(G):
             raise AssertionError(
                 f"certificate-first construction emitted a non-vwc graph: "
                 f"{G.sorted_edges}"
             )
-        if odd_girth_min is not None and odd_girth(G) < odd_girth_min:
-            continue
-        out.append(G)
-    return out
+    return graphs
 
 
 def random_vwc_graph(m, density, seed):
@@ -317,7 +360,15 @@ def random_vwc_graph(m, density, seed):
 # Family specifications (CLI / JSON plumbing).
 # ---------------------------------------------------------------------------
 
-FAMILY_KINDS = ("exhaustive-all", "exhaustive-vwc", "random-vwc", "named")
+# The fields each kind reads besides `kind`, `odd_girth_min` and `cap`.
+_KIND_FIELDS = {
+    "exhaustive-all": ("n",),
+    "exhaustive-vwc": ("m",),
+    "random-vwc": ("m", "density", "seed"),
+    "named": ("names",),
+}
+_SHARED_FIELDS = ("kind", "odd_girth_min", "cap")
+FAMILY_KINDS = tuple(_KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -327,7 +378,7 @@ class FamilySpec:
     kind: str
     n: int | None = None
     m: int | None = None
-    density: float = 0.3
+    density: float = 0.3  # random-vwc only, like `seed`
     seed: int = 0
     odd_girth_min: int | None = None
     cap: int | None = None
@@ -347,16 +398,44 @@ class FamilySpec:
 
     @staticmethod
     def from_json_obj(obj):
-        return FamilySpec(
-            kind=obj["kind"],
-            n=obj.get("n"),
-            m=obj.get("m"),
-            density=obj.get("density", 0.3),
-            seed=obj.get("seed", 0),
-            odd_girth_min=obj.get("odd_girth_min"),
-            cap=obj.get("cap"),
-            names=tuple(obj.get("names", ())),
+        """The spec a JSON object describes; ValueError for a missing kind,
+        for a key that is unknown or that the kind does not read, and for a
+        value of the wrong type (`names` a list of strings, `density` a
+        number, every other key an integer)."""
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValueError("a family needs a JSON object with a 'kind'")
+        kind = obj["kind"]
+        if kind not in FAMILY_KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        known = set(_SHARED_FIELDS).union(*_KIND_FIELDS.values())
+        unknown = sorted(set(obj) - known)
+        if unknown:
+            raise ValueError(f"unknown family key(s): {', '.join(unknown)}")
+        unread = sorted(
+            set(obj) - set(_SHARED_FIELDS) - set(_KIND_FIELDS[kind])
         )
+        if unread:
+            raise ValueError(
+                f"a {kind} family does not read {', '.join(unread)}"
+            )
+        for key, value in obj.items():
+            if key == "kind":
+                continue
+            if key == "names":
+                ok = isinstance(value, list) and all(
+                    isinstance(name, str) for name in value
+                )
+            else:
+                types = (int, float) if key == "density" else int
+                ok = isinstance(value, types) and not isinstance(value, bool)
+            if not ok:
+                raise ValueError(
+                    f"family key {key} has the wrong type: {value!r}"
+                )
+        fields = dict(obj)
+        if "names" in fields:
+            fields["names"] = tuple(fields["names"])
+        return FamilySpec(**fields)
 
     @staticmethod
     def from_json(text):

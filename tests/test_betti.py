@@ -701,6 +701,21 @@ class TestHochsterSweep:
                     inside = functools.reduce(operator.or_, part)
                     assert any(m & inside for m in comp if m not in part)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.lists(st.integers(1, (1 << n) - 1), max_size=10)
+        )
+    )
+    def test_localize_against_relabel_by_vertex(self, masks):
+        # Reference: list the covered vertices, map each bit to its rank.
+        verts = [v for v in range(40) if any(m >> v & 1 for m in masks)]
+        pos = {v: i for i, v in enumerate(verts)}
+        local = tuple(sorted(
+            sum(1 << pos[v] for v in verts if m >> v & 1) for m in masks
+        ))
+        assert betti._localize(masks) == (len(verts), local)
+
     def test_cap_trip_names_the_full_support(self):
         # corona(C5)^2 polarizes to 20 variables in one component, over
         # the face cap; the full support trips first under any labels.

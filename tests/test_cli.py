@@ -410,6 +410,20 @@ class TestSweep:
         cfg = self._config(tmp_path, {"checks": ["katzman"]})
         assert main(["sweep", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({"kind": "exhaustive-vwc", "m": 2, "density": 0.5},
+             "does not read density"),
+            ({"kind": "named", "names": ["P4"], "colour": "red"},
+             "unknown family key"),
+        ],
+    )
+    def test_family_key_not_read(self, capsys, tmp_path, family, message):
+        cfg = self._config(tmp_path, {"family": family, "checks": ["katzman"]})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -530,6 +544,49 @@ class TestGenerate:
 
     def test_no_kind_or_config(self, capsys):
         assert main(["generate"]) == 2
+
+    def test_config_with_family_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "fam.json"
+        cfg.write_text(json.dumps({"kind": "named", "names": ["P4"]}))
+        argv = ["generate", "--config", str(cfg), "--m", "4", "--kind", "named"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "drop --kind, --m" in err
+
+    @pytest.mark.parametrize(
+        "flags, unread",
+        [
+            (["--kind", "named", "--names", "P4", "--m", "4"], "m"),
+            (["--kind", "exhaustive-vwc", "--m", "2", "--n", "4"], "n"),
+            (["--kind", "exhaustive-all", "--n", "4", "--names", "P4"],
+             "names"),
+            (["--kind", "exhaustive-all", "--n", "4", "--names"], "names"),
+            (["--kind", "exhaustive-vwc", "--m", "2", "--density", "0.5"],
+             "density"),
+            (["--kind", "named", "--names", "P4", "--seed", "1"], "seed"),
+            (["--kind", "exhaustive-all", "--n", "4", "--density", "0.3"],
+             "density"),
+        ],
+    )
+    def test_flag_the_kind_does_not_read(self, capsys, flags, unread):
+        assert main(["generate"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"does not read {unread}" in err
+
+    def test_random_vwc_reads_density_and_seed(self, capsys):
+        argv = ["generate", "--kind", "random-vwc", "--m", "2", "--cap", "2",
+                "--format", "json"]
+        code, default = run(capsys, argv)
+        assert code == 0 and len(json.loads(default)) == 2
+        assert run(capsys, argv + ["--density", "0.3", "--seed", "0"]) == (
+            0, default,
+        )
+
+    def test_config_key_the_kind_does_not_read(self, capsys, tmp_path):
+        cfg = tmp_path / "fam.json"
+        cfg.write_text(json.dumps({"kind": "named", "names": ["P4"], "m": 4}))
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "does not read m" in capsys.readouterr().err
 
     def test_closed_pipe(self):
         # The reader closes the pipe before the first write, as `| head`

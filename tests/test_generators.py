@@ -1,10 +1,13 @@
 """Generator tests: exhaustive enumeration counts, certificate-first
 very-well-covered search cross-checked against filtering, determinism."""
 
+import inspect
 import itertools
+import math
 
 import pytest
 
+from edgeideals import generators
 from edgeideals.generators import (
     FamilySpec,
     GenerationError,
@@ -139,9 +142,51 @@ class TestVwcEnumeration:
                 assert any(are_isomorphic(G, H) for H in direct)
 
     def test_odd_girth_filter(self):
-        got = enumerate_vwc_graphs(3, odd_girth_min=5)
-        assert all(odd_girth(G) >= 5 for G in got)
-        assert got  # corona(C5)-like members exist at m=3? at least some
+        # corona(C5) has m = 5.  At m = 3 one class has a triangle and
+        # the seven others have no odd cycle; corona(P3) is among them.
+        got = [G for G in enumerate_vwc_graphs(3) if odd_girth(G) >= 5]
+        assert len(got) == 7
+        assert any(are_isomorphic(G, corona(path_graph(3))) for G in got)
+        spec = FamilySpec(kind="exhaustive-vwc", m=3, odd_girth_min=5)
+        assert spec.instances() == got
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_representatives_against_keying_every_output(self, m):
+        # Reference: key every labelled output; the first of each class
+        # represents it.
+        reps = {}
+        for edges in generators._vwc_search(m):
+            G = Graph(2 * m, edges)
+            reps.setdefault(canonical_key(G), G)
+        order = lambda G: (len(G.edges), G.sorted_edges)
+        expected = [G.sorted_edges for G in sorted(reps.values(), key=order)]
+        assert [G.sorted_edges for G in enumerate_vwc_graphs(m)] == expected
+
+    def test_one_canonical_key_per_class(self, monkeypatch):
+        # Keying every labelled output costs 3,129 calls at m = 4.
+        calls = []
+
+        def counting(G):
+            calls.append(G)
+            return canonical_key(G)
+
+        monkeypatch.setattr(generators, "canonical_key", counting)
+        assert len(enumerate_vwc_graphs(4)) == 31
+        assert len(calls) == 31
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_relabelings_keep_the_matching(self, m):
+        perms = generators._matching_relabelings(m)
+        assert len(perms) == len(set(perms)) == 2**m * math.factorial(m)
+        matching = {frozenset((2 * i, 2 * i + 1)) for i in range(m)}
+        for perm in perms:
+            assert sorted(perm) == list(range(2 * m))
+            assert {frozenset(perm[v] for v in e) for e in matching} == matching
+
+    def test_search_streams(self):
+        stream = generators._vwc_search(3)
+        assert inspect.isgenerator(stream)
+        assert isinstance(next(stream), frozenset)
 
     def test_random_vwc(self):
         for seed in range(5):
@@ -182,6 +227,51 @@ class TestFamilySpec:
         spec = FamilySpec(kind="random-vwc", m=2, density=1.0, seed=0, cap=1)
         with pytest.raises(GenerationError, match="any seed in 0..19"):
             spec.instances()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "exhaustive-vwc", "m": 3},
+            {"kind": "exhaustive-all", "n": 4, "cap": 3},
+            {"kind": "named", "names": ["P4", "C5"], "odd_girth_min": 5},
+            {"kind": "random-vwc", "m": 2, "density": 1.0, "cap": 1},
+            {"kind": "random-vwc", "m": 4, "density": 0.6, "seed": 3},
+        ],
+    )
+    def test_configs_in_use_load(self, obj):
+        # The family configs of README.md and the tests, and round trips.
+        spec = FamilySpec.from_json_obj(obj)
+        assert FamilySpec.from_json_obj(spec.to_json_obj()) == spec
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "named", "names": ["P4"], "m": 4}, "does not read m"),
+            ({"kind": "exhaustive-vwc", "m": 2, "n": 4}, "does not read n"),
+            ({"kind": "exhaustive-all", "n": 4, "names": ["P4"]},
+             "does not read names"),
+            ({"kind": "exhaustive-all", "n": 4, "density": 0.5},
+             "does not read density"),
+            ({"kind": "named", "names": ["P4"], "seed": 1},
+             "does not read seed"),
+            ({"kind": "exhaustive-vwc", "m": 2, "sead": 1},
+             "unknown family key.*sead"),
+            ({"m": 2}, "needs a JSON object with a 'kind'"),
+            (["exhaustive-vwc"], "needs a JSON object with a 'kind'"),
+            ({"kind": "bogus"}, "unknown family kind"),
+            ({"kind": "exhaustive-vwc", "m": "4"}, "m has the wrong type"),
+            ({"kind": "exhaustive-all", "n": True}, "n has the wrong type"),
+            ({"kind": "named", "names": "C5"}, "names has the wrong type"),
+            ({"kind": "named", "names": ["C5", 7]}, "names has the wrong"),
+            ({"kind": "random-vwc", "m": 2, "density": "0.3"},
+             "density has the wrong type"),
+            ({"kind": "exhaustive-vwc", "m": 2, "cap": None},
+             "cap has the wrong type"),
+        ],
+    )
+    def test_config_keys_are_all_read(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            FamilySpec.from_json_obj(obj)
 
     def test_validation(self):
         with pytest.raises(ValueError):
