@@ -12,12 +12,15 @@ variables of m (Miller-Sturmfels, Thm 1.34).  Each interval first
 reduces the relation to its Dowker core, dropping rows inside other rows
 and columns inside other columns, strong collapses that keep both
 homotopy types, then builds whichever complex of the core has fewer
-vertices; on a tie, the crosscut complex.  The engine stays independent
-of Hochster: it works on the unpolarized support of m, while Hochster
-restricts the polarized Stanley-Reisner complex, and for squarefree m,
-K^m is the Alexander dual of Hochster's restriction.  The two engines
-share the homology kernel and the submask face enumerator
-`_submask_faces`, which each runs on complexes of its own.
+vertices; on a tie, the crosscut complex.  Both are submask complexes,
+K^m of the core's rows and the nerve of its columns (atoms form a face
+exactly when some variable is slack in all of them), so `_submask_faces`
+builds either, and with at most LCM_MAX_GENERATORS vertices it needs no
+face cap.  The engine stays independent of Hochster: it works on the
+unpolarized support of m, while Hochster restricts the polarized
+Stanley-Reisner complex, and for squarefree m, K^m is the Alexander dual
+of Hochster's restriction.  The two engines share the homology kernel
+and `_submask_faces`, which each runs on complexes of its own.
 
 Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
@@ -86,10 +89,10 @@ class EngineDisagreement(RuntimeError):
         )
 
 
-# Capacity limits, read at call time.
+# Capacity limits, read at call time.  No lcm face cap is needed: the side
+# built has at most LCM_MAX_GENERATORS vertices, so at most 2^16 - 1 faces.
 LCM_MAX_GENERATORS = 16
 LCM_LATTICE_CAP = 5000
-LCM_FACE_CAP = 70000
 HOCHSTER_MAX_VARS = 24
 HOCHSTER_MAX_GENS = 150
 HOCHSTER_UNION_CAP = 80000
@@ -160,8 +163,8 @@ def _check_ideal(I):
 # ---------------------------------------------------------------------------
 # Homology polynomials of complexes-with-nonfaces, and the submask face
 # enumerator shared by both engines: the lcm engine runs `_submask_faces`
-# on the slack masks of an interval, Hochster on the nonface complements
-# of a component (its Alexander dual).
+# on the rows or the columns of an interval's Dowker core, Hochster on the
+# nonface complements of a component (its Alexander dual).
 #
 # A complex is encoded as P(t) = sum_d rank(H~_d) * t^(d+1), so that the
 # join of two complexes has polynomial P1 * P2 and a contractible factor
@@ -190,7 +193,7 @@ def _poly_mul(a, b):
     return tuple(out)
 
 
-def _submask_faces(masks, cap):
+def _submask_faces(masks):
     """Nonempty faces of the union of the simplices on the given masks:
     every nonempty submask of one of them.  Larger masks go first, so a
     mask already listed lies inside an enumerated simplex and is skipped."""
@@ -202,8 +205,6 @@ def _submask_faces(masks, cap):
         while sub:
             faces.add(sub)
             sub = (sub - 1) & s
-        if len(faces) > cap:
-            raise OverflowError("submask face cap exceeded")
     return list(faces)
 
 
@@ -224,7 +225,7 @@ def _enumerated_component_poly(nvertices, nonfaces):
         faces = faces_from_nonfaces(nvertices, nonfaces)
         return _ranks_to_poly(reduced_homology_ranks(faces))
     full = (1 << nvertices) - 1
-    dual = _submask_faces([full ^ nf for nf in nonfaces], half - 1)
+    dual = _submask_faces([full ^ nf for nf in nonfaces])
     dual_ranks = reduced_homology_ranks(dual)
     return _ranks_to_poly(
         {nvertices - 3 - d: r for d, r in dual_ranks.items()}
@@ -275,7 +276,7 @@ def _face_count(nvertices, nonfaces, cap):
     try:
         return count((1 << nvertices) - 1, list(nonfaces))
     finally:
-        # `count` reaches itself through its closure; see `_nerve_faces`.
+        # `count` reaches itself through its closure; break that cycle.
         del count
 
 
@@ -565,34 +566,6 @@ def lcm_lattice(I):
     return seen
 
 
-def _nerve_faces(facets, full, cap):
-    """Nonempty faces of the nerve of a cover by simplices: subsets of
-    facets with nonzero common intersection.  Intersections only shrink
-    along the DFS, so zero-intersection branches are pruned whole.
-    Raises OverflowError past `cap` faces."""
-    k = len(facets)
-    faces = []
-
-    def extend(start, inter, mask):
-        for j in range(start, k):
-            inter2 = inter & facets[j]
-            if not inter2:
-                continue
-            m2 = mask | (1 << j)
-            faces.append(m2)
-            if len(faces) > cap:
-                raise OverflowError("nerve face cap exceeded")
-            extend(j + 1, inter2, m2)
-
-    try:
-        extend(0, full, 0)
-    finally:
-        # `extend` reaches itself through its closure; breaking that cycle
-        # frees the faces at once, also when the cap raises.
-        del extend
-    return faces
-
-
 def _maximal(masks):
     """The inclusion-maximal masks among `masks`, one copy of each."""
     kept = []
@@ -612,7 +585,8 @@ def _transpose(rows, ncols):
 
 def _dowker_core(rows, ncols):
     """The core of a relation given by its row masks over `ncols` columns:
-    (row masks over the kept columns, renumbered, and their count).
+    (row masks over the kept columns, renumbered; column masks over the
+    kept rows).
 
     Until neither step applies: drop each row contained in another,
     keeping one copy of equal rows, then each column whose row set lies
@@ -627,7 +601,7 @@ def _dowker_core(rows, ncols):
         cols = _transpose(rows, ncols)
         kept = _maximal(cols)
         if len(kept) == ncols:
-            return rows, ncols
+            return rows, cols
         ncols = len(kept)
         rows = _transpose(kept, len(rows))
 
@@ -645,7 +619,8 @@ def _crosscut_ranks(atoms):
     - the crosscut complex of the interval, vertices the atoms, faces the
       subsets whose lcm is still below m.  A subset's lcm stays below m
       exactly when its slack masks share a variable, so this is the nerve
-      of the slack masks;
+      of the slack masks: the submasks of the columns, each column the
+      mask of the atoms its variable is slack in;
     - the upper Koszul complex K^m(I) = {F in supp(m) : m/x^F in I},
       vertices the variables of m.  An atom a divides m/x^F exactly when
       F is inside slack(a), so the faces are the submasks of the slack
@@ -655,28 +630,22 @@ def _crosscut_ranks(atoms):
     The relation is first reduced to its Dowker core (`_dowker_core`):
     an atom whose slack mask lies inside another's, and a variable whose
     atoms (those it is slack in) lie inside another variable's, are
-    dominated vertices of one complex and leave the other unchanged.  K^m of the core is built
-    when the core has fewer variables than atoms; on a tie the nerve is
-    kept.  Either way LCM_FACE_CAP bounds the face count.  Neither complex
-    is Hochster's: K^m lives on the unpolarized support of m, and for
-    squarefree m it is the Alexander dual of the restriction Hochster's
-    engine builds.  Keyed on the atoms alone: a lattice element is the lcm
-    of the generators dividing it, so the atoms determine m."""
+    dominated vertices of one complex and leave the other unchanged.  One
+    enumerator builds either complex of the core: K^m from its rows when
+    the core has fewer variables than atoms, else the nerve from its
+    columns.  No face cap applies: the built side has at most
+    LCM_MAX_GENERATORS vertices.  Neither complex is Hochster's: K^m lives
+    on the unpolarized support of m, and for squarefree m it is the
+    Alexander dual of the restriction Hochster's engine builds.  Keyed on
+    the atoms alone: a lattice element is the lcm of the generators
+    dividing it, so the atoms determine m."""
     m = tuple(map(max, zip(*atoms)))
     slack = [
         sum(1 << v for v, (a, e) in enumerate(zip(atom, m)) if a < e)
         for atom in atoms
     ]
-    rows, ncols = _dowker_core(slack, len(m))
-    try:
-        if ncols < len(rows):
-            faces = _submask_faces(rows, LCM_FACE_CAP)
-        else:
-            faces = _nerve_faces(rows, (1 << ncols) - 1, LCM_FACE_CAP)
-    except OverflowError:
-        raise CapacityError(
-            f"crosscut complex exceeded the face cap {LCM_FACE_CAP}"
-        ) from None
+    rows, cols = _dowker_core(slack, len(m))
+    faces = _submask_faces(rows if len(cols) < len(rows) else cols)
     return reduced_homology_ranks(faces)
 
 

@@ -222,12 +222,15 @@ def _params_from_args(args, config=None):
     jobs = getattr(args, "jobs", 0) or config.get("jobs", 1)
     if not _is_int(jobs) or jobs < 0:
         raise CliError(f"jobs must be an integer of at least 0, not {jobs!r}")
+    timings = config.get("timings", False)
+    if not isinstance(timings, bool):
+        raise CliError(f"timings must be true or false, not {timings!r}")
     return SweepParams(
         s_values=tuple(s_values),
         seed=seed,
         multiset_sample=multiset_sample,
         jobs=jobs,
-        timings=args.timings or config.get("timings", False),
+        timings=args.timings or timings,
     )
 
 
@@ -270,6 +273,10 @@ def _render_report_text(report):
     return "\n".join(lines)
 
 
+_SWEEP_KEYS = ("family", "checks", "s_values", "seed", "multiset_sample",
+               "jobs", "timings")
+
+
 def cmd_sweep(args):
     if not args.config:
         raise CliError("sweep needs --config FILE")
@@ -280,11 +287,20 @@ def cmd_sweep(args):
         raise CliError(f"cannot read {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.config}: invalid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CliError("bad sweep config: not a JSON object")
+    unknown = sorted(set(config) - set(_SWEEP_KEYS))
+    if unknown:
+        raise CliError(f"unknown sweep config key(s): {', '.join(unknown)}")
     try:
         spec = FamilySpec.from_json_obj(config["family"])
-        checks = config.get("checks", list(CHECK_NAMES))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(f"bad sweep config: {exc}") from exc
+    checks = config.get("checks", list(CHECK_NAMES))
+    if not (
+        isinstance(checks, list) and all(isinstance(c, str) for c in checks)
+    ):
+        raise CliError(f"checks must be a list of check names, not {checks!r}")
     params = _params_from_args(args, config)
     try:
         report = run_sweep(spec, checks, params)

@@ -18,10 +18,9 @@ graph.  The constructor is never trusted.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .graphs import (
     Graph,
@@ -371,22 +370,37 @@ _SHARED_FIELDS = ("kind", "odd_girth_min", "cap")
 FAMILY_KINDS = tuple(_KIND_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilySpec:
-    """A declarative description of a graph stream."""
+    """A declarative description of a graph stream.
+
+    A field left at None is not given; a field the kind does not read must
+    not be given.  A random-vwc family reads `density` 0.3 and `seed` 0
+    unless given, and two specs are equal when they describe the same
+    family, so an unset default equals the default given."""
 
     kind: str
     n: int | None = None
     m: int | None = None
-    density: float = 0.3  # random-vwc only, like `seed`
-    seed: int = 0
+    density: float | None = None
+    seed: int | None = None
     odd_girth_min: int | None = None
     cap: int | None = None
-    names: tuple = ()
+    names: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        unread = sorted(
+            f.name
+            for f in fields(self)
+            if f.name not in _SHARED_FIELDS + _KIND_FIELDS[self.kind]
+            and getattr(self, f.name) is not None
+        )
+        if unread:
+            raise ValueError(
+                f"a {self.kind} family does not read {', '.join(unread)}"
+            )
         if self.cap is not None and self.cap <= 0:
             raise ValueError("instance cap must be positive")
         if self.kind == "exhaustive-all" and self.n is None:
@@ -396,28 +410,28 @@ class FamilySpec:
         if self.kind == "named" and not self.names:
             raise ValueError("named family needs at least one name")
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, FamilySpec)
+            and self.to_json_obj() == other.to_json_obj()
+        )
+
+    def __hash__(self):
+        return hash(self.kind)  # equal specs have equal kinds
+
     @staticmethod
     def from_json_obj(obj):
         """The spec a JSON object describes; ValueError for a missing kind,
-        for a key that is unknown or that the kind does not read, and for a
-        value of the wrong type (`names` a list of strings, `density` a
-        number, every other key an integer)."""
+        for an unknown key, for a value of the wrong type (`names` a list
+        of strings, `density` a number, every other key an integer, never
+        null), and for anything the constructor rejects, such as a key the
+        kind does not read."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("a family needs a JSON object with a 'kind'")
-        kind = obj["kind"]
-        if kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {kind!r}")
         known = set(_SHARED_FIELDS).union(*_KIND_FIELDS.values())
         unknown = sorted(set(obj) - known)
         if unknown:
             raise ValueError(f"unknown family key(s): {', '.join(unknown)}")
-        unread = sorted(
-            set(obj) - set(_SHARED_FIELDS) - set(_KIND_FIELDS[kind])
-        )
-        if unread:
-            raise ValueError(
-                f"a {kind} family does not read {', '.join(unread)}"
-            )
         for key, value in obj.items():
             if key == "kind":
                 continue
@@ -432,14 +446,10 @@ class FamilySpec:
                 raise ValueError(
                     f"family key {key} has the wrong type: {value!r}"
                 )
-        fields = dict(obj)
-        if "names" in fields:
-            fields["names"] = tuple(fields["names"])
-        return FamilySpec(**fields)
-
-    @staticmethod
-    def from_json(text):
-        return FamilySpec.from_json_obj(json.loads(text))
+        given = dict(obj)
+        if "names" in given:
+            given["names"] = tuple(given["names"])
+        return FamilySpec(**given)
 
     def to_json_obj(self):
         obj = {"kind": self.kind}
@@ -448,8 +458,8 @@ class FamilySpec:
         if self.m is not None:
             obj["m"] = self.m
         if self.kind == "random-vwc":
-            obj["density"] = self.density
-            obj["seed"] = self.seed
+            obj["density"] = 0.3 if self.density is None else self.density
+            obj["seed"] = 0 if self.seed is None else self.seed
         if self.odd_girth_min is not None:
             obj["odd_girth_min"] = self.odd_girth_min
         if self.cap is not None:
@@ -467,20 +477,22 @@ class FamilySpec:
             stream = enumerate_vwc_graphs(self.m)
         elif self.kind == "random-vwc":
             count = count or 20
-            stream = self._random_vwc(range(self.seed, self.seed + 20 * count))
+            obj = self.to_json_obj()
+            seeds = range(obj["seed"], obj["seed"] + 20 * count)
+            stream = self._random_vwc(obj["density"], seeds)
         else:
             stream = [named_graph(name) for name in self.names]
         if self.odd_girth_min is not None:
             stream = (G for G in stream if odd_girth(G) >= self.odd_girth_min)
         return list(itertools.islice(stream, count))
 
-    def _random_vwc(self, seeds):
+    def _random_vwc(self, density, seeds):
         """One graph per seed, skipping seeds that exhaust their attempt
         budget; GenerationError only when no seed gives a graph."""
         found = False
         for seed in seeds:
             try:
-                G = random_vwc_graph(self.m, self.density, seed)
+                G = random_vwc_graph(self.m, density, seed)
             except GenerationError:
                 continue
             found = True
@@ -488,6 +500,6 @@ class FamilySpec:
         if not found:
             raise GenerationError(
                 f"no very well-covered graph found for m={self.m}, "
-                f"density={self.density} at any seed in "
+                f"density={density} at any seed in "
                 f"{seeds.start}..{seeds.stop - 1}"
             )

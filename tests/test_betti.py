@@ -263,16 +263,49 @@ class TestDowkerCore:
         expected = ranks_without_collapse(nerve, fraction_boundary_rank)
         assert reduced_homology_ranks(nerve) == expected
         assert reduced_homology_ranks(submasks_of(rows, ncols)) == expected
-        core, ccols = betti._dowker_core(rows, ncols)
+        core, cols = betti._dowker_core(rows, ncols)
         assert reduced_homology_ranks(nerve_of(core)) == expected
-        assert reduced_homology_ranks(submasks_of(core, ccols)) == expected
+        assert reduced_homology_ranks(submasks_of(core, len(cols))) == expected
         # No row or column of the core lies inside another, or equals it,
         # so a second reduction changes nothing.
-        for side in (core, betti._transpose(core, ccols)):
+        for side in (core, cols):
             for a, b in itertools.permutations(side, 2):
                 assert a & b != a
-        again, again_cols = betti._dowker_core(core, ccols)
-        assert (sorted(again), again_cols) == (sorted(core), ccols)
+        again, again_cols = betti._dowker_core(core, len(cols))
+        assert (sorted(again), len(again_cols)) == (sorted(core), len(cols))
+
+    @settings(max_examples=200, deadline=None)
+    @given(relations)
+    @example((3, [0b011, 0b110, 0b101]))
+    @example((2, [0, 0]))  # no column survives: both sides {empty face}
+    def test_nerve_is_the_submask_complex_of_the_columns(self, relation):
+        # A set of rows lies in the nerve exactly when some column holds
+        # all of them, so one enumerator builds both complexes of a core.
+        ncols, rows = relation
+        core, cols = betti._dowker_core(rows, ncols)
+        assert cols == betti._transpose(core, len(cols))
+        assert set(betti._submask_faces(cols)) == set(nerve_of(core))
+
+    def test_builds_the_side_with_fewer_vertices(self, monkeypatch):
+        # Each mask handed to the enumerator is a vertex set of the complex
+        # built, over the other side's vertices, so that complex has no
+        # more vertices than there are masks, nor than the generator cap.
+        seen = []
+        submask_faces = betti._submask_faces
+
+        def record(masks):
+            seen.append(masks)
+            return submask_faces(masks)
+
+        monkeypatch.setattr(betti, "_submask_faces", record)
+        betti._crosscut_ranks.cache_clear()
+        for I in (power(I_of(cycle_graph(5)), 2),
+                  power(I_of(path_graph(6)), 2), I_of(complete_graph(4))):
+            betti_table_lcm(I)
+        assert len(seen) > 100
+        for masks in seen:
+            width = functools.reduce(operator.or_, masks).bit_length()
+            assert width <= min(len(masks), betti.LCM_MAX_GENERATORS)
 
     def test_examples(self):
         # Each column of the circle is in two rows; nothing is dominated.
@@ -280,8 +313,8 @@ class TestDowkerCore:
             0b011, 0b101, 0b110
         ]
         # A row inside another goes, then the columns it separated merge.
-        assert betti._dowker_core([0b011, 0b001], 2) == ([0b1], 1)
-        assert betti._dowker_core([0, 0], 3) == ([0], 1)
+        assert betti._dowker_core([0b011, 0b001], 2) == ([0b1], [0b1])
+        assert betti._dowker_core([0, 0], 3) == ([0], [0])
 
 
 def minimal_masks(masks):
@@ -742,7 +775,7 @@ class TestHochsterSweep:
             )
 
         calls = record_calls(
-            monkeypatch, "_nerve_faces", "_submask_faces", "faces_from_nonfaces"
+            monkeypatch, "_submask_faces", "faces_from_nonfaces"
         )
         betti.component_homology_poly.cache_clear()
         with pytest.raises(CapacityError, match="on 20 vertices") as exc:
@@ -850,12 +883,6 @@ class TestEngineRule:
 
     def test_equality_ignores_engines(self):
         assert BettiTable({(0, 2): 1}, ("lcm",)) == BettiTable({(0, 2): 1})
-
-    def test_crosscut_face_cap(self, monkeypatch):
-        betti._crosscut_ranks.cache_clear()
-        monkeypatch.setattr(betti, "LCM_FACE_CAP", 1)
-        with pytest.raises(CapacityError, match="crosscut complex exceeded"):
-            betti_table_lcm(I_of(cycle_graph(5)))
 
 
 class TestMemos:

@@ -487,6 +487,11 @@ class TestSweep:
             ("seed", "7", "seed must be"),
             ("seed", 1.5, "seed must be"),
             ("seed", True, "seed must be"),
+            ("svalues", [3], "unknown sweep config key(s): svalues"),
+            ("timings", "no", "timings must be true or false"),
+            ("timings", 1, "timings must be true or false"),
+            ("checks", "bht", "checks must be a list of check names"),
+            ("checks", ["bht", 1], "checks must be a list of check names"),
         ],
     )
     def test_bad_config_value_exits_2(self, capsys, tmp_path, key, value,

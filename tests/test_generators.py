@@ -273,6 +273,34 @@ class TestFamilySpec:
         with pytest.raises(ValueError, match=message):
             FamilySpec.from_json_obj(obj)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "named", "names": ("P4",), "m": 4, "density": 0.9},
+             "a named family does not read density, m"),
+            # A value equal to a default is still given.
+            ({"kind": "exhaustive-vwc", "m": 2, "seed": 0},
+             "does not read seed"),
+            ({"kind": "exhaustive-all", "n": 4, "names": ()},
+             "does not read names"),
+        ],
+    )
+    def test_constructor_rejects_unread_fields(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            FamilySpec(**fields)
+
+    def test_random_vwc_defaults(self):
+        # An unset density or seed is the default, in the report too.
+        spec = FamilySpec(kind="random-vwc", m=2)
+        given = FamilySpec(kind="random-vwc", m=2, density=0.3, seed=0)
+        assert spec == given and hash(spec) == hash(given)
+        assert spec.to_json_obj() == {
+            "kind": "random-vwc", "m": 2, "density": 0.3, "seed": 0
+        }
+        assert FamilySpec.from_json_obj(spec.to_json_obj()) == spec
+        assert spec != FamilySpec(kind="random-vwc", m=2, seed=1)
+        assert spec.instances() == given.instances()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FamilySpec(kind="bogus")
