@@ -252,32 +252,33 @@ def _face_count(nvertices, nonfaces, cap):
     one-vertex nonface {v} leaves lk(v) void.  Counts are memoized for the
     call on the nonfaces alone, saturate at cap + 1, and the link is not
     counted once the deletion alone passes the cap."""
-    memo = {}
+    return _count_faces((1 << nvertices) - 1, list(nonfaces), {}, cap)
 
-    def count(ground, nfs):
-        cover = 0
-        for nf in nfs:
-            cover |= nf
-        key = tuple(sorted(nfs))
-        got = memo.get(key)
-        if got is None:
-            if not nfs:
-                got = 1
-            else:
-                bit = cover & -cover
-                rest = cover ^ bit
-                got = count(rest, [nf for nf in nfs if not nf & bit])
-                if got <= cap and bit not in nfs:
-                    got += count(rest, _minimal([nf & ~bit for nf in nfs]))
-                got = min(got, cap + 1)
-            memo[key] = got
-        return min(got << (ground & ~cover).bit_count(), cap + 1)
 
-    try:
-        return count((1 << nvertices) - 1, list(nonfaces))
-    finally:
-        # `count` reaches itself through its closure; break that cycle.
-        del count
+def _count_faces(ground, nfs, memo, cap):
+    """`_face_count` on the vertex mask `ground`, saturating at cap + 1,
+    with the counts of the nonface lists seen so far in `memo`."""
+    cover = 0
+    for nf in nfs:
+        cover |= nf
+    key = tuple(sorted(nfs))
+    got = memo.get(key)
+    if got is None:
+        if not nfs:
+            got = 1
+        else:
+            bit = cover & -cover
+            rest = cover ^ bit
+            got = _count_faces(
+                rest, [nf for nf in nfs if not nf & bit], memo, cap
+            )
+            if got <= cap and bit not in nfs:
+                got += _count_faces(
+                    rest, _minimal([nf & ~bit for nf in nfs]), memo, cap
+                )
+            got = min(got, cap + 1)
+        memo[key] = got
+    return min(got << (ground & ~cover).bit_count(), cap + 1)
 
 
 def _reduced_complex_poly(ground, nonfaces):

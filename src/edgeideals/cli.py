@@ -241,10 +241,10 @@ def cmd_verify(args):
         "n": G.n,
         "edges": [list(e) for e in G.sorted_edges],
     }
-    checks = args.checks or CHECK_NAMES
+    checks = CHECK_NAMES if args.checks is None else args.checks
     try:
         report = sweep_graphs(spec, [G], checks, _params_from_args(args))
-    except ValueError as exc:  # an unknown check name, or a bad power
+    except ValueError as exc:  # no check, an unknown one, or a bad power
         raise CliError(str(exc)) from exc
     _emit(
         report.to_json_obj(),
@@ -304,7 +304,7 @@ def cmd_sweep(args):
     params = _params_from_args(args, config)
     try:
         report = run_sweep(spec, checks, params)
-    except ValueError as exc:  # an unknown check name, or a bad power
+    except ValueError as exc:  # no check, an unknown one, or a bad power
         raise CliError(str(exc)) from exc
     if args.out:
         os.makedirs(args.out, exist_ok=True)

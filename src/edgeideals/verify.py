@@ -452,6 +452,11 @@ def sweep_graphs(spec, graphs, checks, params=None):
     are collected, never raised; the report is deterministic for a fixed
     stream, checks, params, and version."""
     params = params or SweepParams()
+    if not checks:
+        raise ValueError(
+            f"checks must name at least one check; available: "
+            f"{', '.join(CHECK_NAMES)}"
+        )
     for check in checks:
         if check not in CHECKS:
             raise ValueError(

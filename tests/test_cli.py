@@ -328,6 +328,12 @@ class TestVerify:
             == 2
         )
 
+    def test_empty_check_list(self, capsys, graph_file):
+        # A bare --checks names no check; it does not mean all of them.
+        argv = ["verify", "--graph", graph_file(path_graph(4)), "--checks"]
+        assert main(argv) == 2
+        assert "checks must name at least one check" in capsys.readouterr().err
+
 
 class TestEngineErrors:
     # The Hochster engine made wrong on ideals in 5 variables: C5's
@@ -492,6 +498,7 @@ class TestSweep:
             ("timings", 1, "timings must be true or false"),
             ("checks", "bht", "checks must be a list of check names"),
             ("checks", ["bht", 1], "checks must be a list of check names"),
+            ("checks", [], "checks must name at least one check"),
         ],
     )
     def test_bad_config_value_exits_2(self, capsys, tmp_path, key, value,

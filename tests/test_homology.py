@@ -1,6 +1,6 @@
 """Homology engine tests: ranks against Fraction Gaussian elimination,
-homology against known spaces, and the collapse preprocessor against a
-no-collapse baseline."""
+homology against known spaces, and faces from minimal nonfaces against
+brute force."""
 
 import itertools
 import random
@@ -10,8 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeideals.homology import (
-    _collapse,
-    boundary_rank,
     faces_from_nonfaces,
     matrix_rank_exact,
     reduced_homology_ranks,
@@ -69,9 +67,10 @@ def fraction_boundary_rank(lower_faces, upper_faces):
     return fraction_rank(rows)
 
 
-def ranks_without_collapse(faces, rank=boundary_rank):
-    """Reduced homology by raw boundary ranks, bypassing _collapse; `rank`
-    ranks each boundary map."""
+def ranks_without_collapse(faces, rank):
+    """Reduced homology of a closed complex from the ranks of its boundary
+    maps, each ranked by `rank`: with `fraction_boundary_rank`, an oracle
+    that shares no code with `reduced_homology_ranks`."""
     by_dim = {}
     for f in faces:
         by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
@@ -106,7 +105,30 @@ def random_face_set(rng, nmax=7):
     return closure_masks(facets)
 
 
+# Sparse integer matrices: at most 12 rows over at most 12 columns, at
+# most 4 nonzero entries a row, entries -4..4.
+sparse_matrices = st.integers(1, 12).flatmap(
+    lambda ncols: st.lists(
+        st.dictionaries(
+            st.integers(0, ncols - 1),
+            st.integers(-4, 4).filter(bool),
+            max_size=4,
+        ),
+        max_size=12,
+    )
+)
+
+
 class TestExactRank:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices)
+    @example([{0: 2, 1: 1}, {0: 1, 1: 2}])  # no unit pivot
+    @example([{1: -2, 0: 1}, {1: 3}])  # a negative pivot, scaled by 2
+    def test_sparse_against_fraction_oracle(self, rows):
+        before = [dict(r) for r in rows]
+        assert matrix_rank_exact(rows) == fraction_rank(rows)
+        assert rows == before  # the input is left unchanged
+
     def test_against_fraction_oracle(self):
         rng = random.Random(5)
         for _ in range(80):
@@ -168,6 +190,31 @@ class TestHomologyAnchors:
         assert counts == {1: 7, 2: 21, 3: 14}  # chi = 0
         assert reduced_homology_ranks(faces) == {1: 2, 2: 1}
 
+    def test_real_projective_plane(self):
+        # The 6-vertex RP^2 (half an icosahedron): H_1 over Z is Z/2, so
+        # over Q it is acyclic, and no torsion may leak into the ranks.
+        facets = [
+            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+        ]
+        faces = closure_masks(facets)
+        assert len(faces) == 6 + 15 + 10
+        assert reduced_homology_ranks(faces) == {}
+
+    def test_octahedral_sphere(self):
+        # Boundary of the 8-dimensional cross-polytope, a 7-sphere: the
+        # faces on 16 vertices with no antipodal pair {2i, 2i + 1}.
+        faces = faces_from_nonfaces(16, [0b11 << 2 * i for i in range(8)])
+        assert len(faces) == 3**8 - 1
+        assert reduced_homology_ranks(faces) == {7: 1}
+
+    def test_boundary_of_the_16_vertex_simplex(self):
+        # The largest complex the lcm engine can build: every proper
+        # nonempty subset of 16 vertices, a 14-sphere.
+        faces = faces_from_nonfaces(16, [(1 << 16) - 1])
+        assert len(faces) == (1 << 16) - 2
+        assert reduced_homology_ranks(faces) == {14: 1}
+
     def test_euler_characteristic_matches_homology(self):
         rng = random.Random(10)
         for _ in range(30):
@@ -176,46 +223,6 @@ class TestHomologyAnchors:
             chi = sum((-1) ** d * r for d, r in hom.items())
             # The alternating face count, the empty face counted at -1.
             assert chi == -1 + sum((-1) ** (f.bit_count() - 1) for f in faces)
-
-
-# Facets of a nonempty closed complex on at most 7 vertices.  Facets of
-# at most 4 vertices leave room for the holes a wrong collapse would change.
-facet_lists = st.lists(
-    st.frozensets(st.integers(0, 6), min_size=1, max_size=4),
-    min_size=1,
-    max_size=10,
-)
-
-
-class TestCollapse:
-    @settings(max_examples=150, deadline=None)
-    @given(facet_lists)
-    def test_collapse_preserves_homology(self, facets):
-        faces = closure_masks(facets)
-        collapsed, empty_left = _collapse(faces)
-        baseline = ranks_without_collapse(faces)
-        if not empty_left:
-            assert baseline == {}
-        else:
-            assert ranks_without_collapse(collapsed) == baseline
-
-    def test_collapsed_set_is_a_complex(self):
-        rng = random.Random(8)
-        for _ in range(40):
-            faces = random_face_set(rng)
-            collapsed, _ = _collapse(faces)
-            cset = set(collapsed)
-            for f in cset:
-                rem = f
-                while rem:
-                    bit = rem & -rem
-                    sub = f ^ bit
-                    assert sub == 0 or sub in cset
-                    rem ^= bit
-
-    def test_collapse_reduces_simplex_to_nothing(self):
-        collapsed, empty_left = _collapse(closure_masks([(0, 1, 2, 3, 4)]))
-        assert not empty_left and not collapsed
 
 
 nonface_sets = st.integers(1, 8).flatmap(
