@@ -1,5 +1,12 @@
 """Graded Betti numbers and Castelnuovo-Mumford regularity of monomial
-ideals, by two independent engines that validate each other.
+ideals, by two engines that validate each other.
+
+Both engines sum over the lcm lattice.  Polarization maps it one to one
+onto the unions of the polarized generator masks: a union is the lcm's
+polarization, a generator divides m exactly when its mask lies inside
+m's, and a mask's bit count is the degree.  So `_union_closure` lists the
+lattice for both engines, which also share the homology kernel and
+`_submask_faces`; each computes an element's homology by its own route.
 
 Engine 1 (lcm lattice): each graded Betti number of the ideal is the
 reduced homology rank, one dimension down, of the open interval below a
@@ -16,11 +23,10 @@ vertices; on a tie, the crosscut complex.  Both are submask complexes,
 K^m of the core's rows and the nerve of its columns (atoms form a face
 exactly when some variable is slack in all of them), so `_submask_faces`
 builds either, and with at most LCM_MAX_GENERATORS vertices it needs no
-face cap.  The engine stays independent of Hochster: it works on the
-unpolarized support of m, while Hochster restricts the polarized
+face cap.  The interval homology stays independent of Hochster: it works
+on the unpolarized support of m, while Hochster restricts the polarized
 Stanley-Reisner complex, and for squarefree m, K^m is the Alexander dual
-of Hochster's restriction.  The two engines share the homology kernel
-and `_submask_faces`, which each runs on complexes of its own.
+of Hochster's restriction.
 
 Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
@@ -448,7 +454,7 @@ def restriction_homology_poly(nonfaces):
 
 
 # ---------------------------------------------------------------------------
-# Engine 2: polarization + Hochster restriction sweep.
+# Engine 2: polarization + Hochster sweep; `_union_closure` serves both.
 # ---------------------------------------------------------------------------
 
 
@@ -481,19 +487,20 @@ def polarize(I):
     return total, masks
 
 
-def _union_closure(masks, cap):
+def _union_closure(masks, cap, name):
     """The unions of every nonempty subset of `masks`, one mask at a time:
     after each mask the set holds every union of the masks so far.
 
-    Raises CapacityError exactly when the closure has more than `cap`
-    elements.  The masks themselves count toward the cap like every other
-    union, and the set only grows, so checking after each mask suffices."""
+    Raises CapacityError, naming the closure `name`, exactly when it has
+    more than `cap` elements.  The masks themselves count toward the cap
+    like every other union, and the set only grows, so checking after each
+    mask suffices."""
     seen = set()
     for nf in masks:
         seen |= {w | nf for w in seen}
         seen.add(nf)
         if len(seen) > cap:
-            raise CapacityError(f"union closure exceeded the cap {cap}")
+            raise CapacityError(f"{name} exceeded the cap {cap}")
     return seen
 
 
@@ -522,7 +529,7 @@ def betti_table_hochster(I):
             f"{npol} polarized variables exceed the cap {HOCHSTER_MAX_VARS}"
         )
     restriction_homology_poly(tuple(nonfaces))  # may raise; memoizes
-    unions = _union_closure(nonfaces, HOCHSTER_UNION_CAP)
+    unions = _union_closure(nonfaces, HOCHSTER_UNION_CAP, "union closure")
     entries = {}
     for w in sorted(unions, key=int.bit_count, reverse=True):
         nfs = tuple(nf for nf in nonfaces if not (nf & ~w))
@@ -547,24 +554,9 @@ def betti_table_hochster(I):
 
 
 def lcm_lattice(I):
-    """All least common multiples of nonempty generator subsets."""
-    gens = I.sorted_gens()
-    seen = set(gens)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                u = mon.lcm(m, g)
-                if u not in seen:
-                    seen.add(u)
-                    if len(seen) > LCM_LATTICE_CAP:
-                        raise CapacityError(
-                            f"lcm lattice exceeded the cap {LCM_LATTICE_CAP}"
-                        )
-                    new.append(u)
-        frontier = new
-    return seen
+    """The lcm lattice of I as polarized masks, Hochster's union closure
+    of the same ideal, under LCM_LATTICE_CAP."""
+    return _union_closure(polarize(I)[1], LCM_LATTICE_CAP, "lcm lattice")
 
 
 def _maximal(masks):
@@ -651,7 +643,9 @@ def _crosscut_ranks(atoms):
 
 
 def betti_table_lcm(I):
-    """Graded Betti table of I via lcm-lattice interval homology."""
+    """Graded Betti table of I via lcm-lattice interval homology.  The
+    atoms of a lattice mask w are the generators whose polarized masks lie
+    inside w, in `sorted_gens()` order; its degree is w's bit count."""
     _check_ideal(I)
     if len(I.gens) > LCM_MAX_GENERATORS:
         raise CapacityError(
@@ -659,11 +653,12 @@ def betti_table_lcm(I):
             f"{LCM_MAX_GENERATORS}; use the Hochster engine"
         )
     gens = I.sorted_gens()
+    masks = polarize(I)[1]
     entries = {}
-    for m in lcm_lattice(I):
-        atoms = tuple(g for g in gens if mon.divides(g, m))
+    for w in lcm_lattice(I):
+        atoms = tuple(g for g, a in zip(gens, masks) if not a & ~w)
         ranks = _crosscut_ranks(atoms)
-        j = mon.degree(m)
+        j = w.bit_count()
         for d, r in ranks.items():
             i = d + 1
             entries[(i, j)] = entries.get((i, j), 0) + r
@@ -717,6 +712,6 @@ def betti_table(I, engines=("lcm", "hochster")):
 # Each entry holds a whole ideal.  Criterion 8 (all n <= 6) peaks at 736
 # entries, criterion 1 at 62.
 @lru_cache(maxsize=1 << 12)
-def regularity(I, engines=("lcm", "hochster")):
-    """reg(I) = max{j - i} over the entries of betti_table(I, engines)."""
-    return betti_table(I, engines).regularity()
+def regularity(I):
+    """reg(I) = max{j - i} over the entries of betti_table(I)."""
+    return betti_table(I).regularity()

@@ -219,7 +219,9 @@ def _params_from_args(args, config=None):
             f"multiset_sample must be an integer of at least 1, "
             f"not {multiset_sample!r}"
         )
-    jobs = getattr(args, "jobs", 0) or config.get("jobs", 1)
+    jobs = getattr(args, "jobs", None)
+    if jobs is None:
+        jobs = config.get("jobs", 1)
     if not _is_int(jobs) or jobs < 0:
         raise CliError(f"jobs must be an integer of at least 0, not {jobs!r}")
     timings = config.get("timings", False)
@@ -431,7 +433,7 @@ def build_parser():
     p.add_argument("--out", help="directory for report.json / report.csv")
     p.add_argument("--s-values", dest="s_values", type=int, nargs="+")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=_nonnegative_int, default=0)
+    p.add_argument("--jobs", type=_nonnegative_int)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_sweep)
 

@@ -27,10 +27,6 @@ def mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
 def divides(a, b):
     """True iff monomial a divides monomial b."""
     return all(x <= y for x, y in zip(a, b))

@@ -352,9 +352,9 @@ class SweepParams:
 
 def _edge_multisets(G, s, params, instance_index):
     """Deterministic multiset quantification: exhaustive for s <= 2 on
-    small edge sets, otherwise a seeded sample."""
+    small edge sets, otherwise a seeded sample; none without edges."""
     edges = list(G.sorted_edges)
-    if s <= 2 and len(edges) <= MULTISET_EXHAUSTIVE_EDGE_LIMIT:
+    if not edges or (s <= 2 and len(edges) <= MULTISET_EXHAUSTIVE_EDGE_LIMIT):
         return list(itertools.combinations_with_replacement(edges, s))
     rng = random.Random(f"{params.seed}:{instance_index}:{s}")
     seen = set()

@@ -213,10 +213,27 @@ class TestIntervals:
     @settings(max_examples=150, deadline=None)
     @given(monomial_ideals)
     def test_interval_ranks_against_oracles(self, I):
+        # The lattice by definition, the lcm of every nonempty generator
+        # subset (at most 511), against lcm_lattice's polarized masks: each
+        # mask w goes to the lcm of the generators whose masks lie inside
+        # it, of degree w.bit_count(), and the map is one to one and onto.
+        gens = I.sorted_gens()
+        lattice = {
+            tuple(map(max, zip(*sub)))
+            for r in range(1, len(gens) + 1)
+            for sub in itertools.combinations(gens, r)
+        }
+        masks = polarize(I)[1]
+        image = []
+        for w in lcm_lattice(I):
+            under = [g for g, a in zip(gens, masks) if not a & ~w]
+            m = tuple(map(max, zip(*under)))
+            assert sum(m) == w.bit_count()
+            image.append(m)
+        assert len(set(image)) == len(image) and set(image) == lattice
         # Both routes of _crosscut_ranks against both complexes, built
         # from their definitions; then the lcm engine against Hochster.
-        gens = I.sorted_gens()
-        for m in lcm_lattice(I):
+        for m in lattice:
             atoms = tuple(g for g in gens if all(map(int.__le__, g, m)))
             ranks = betti._crosscut_ranks(atoms)
             assert ranks == reduced_homology_ranks(crosscut_oracle(atoms, m))
@@ -703,10 +720,10 @@ class TestHochsterSweep:
         }
         cap = data.draw(st.integers(0, len(oracle) + 1))
         if len(oracle) > cap:
-            with pytest.raises(CapacityError, match="union closure"):
-                betti._union_closure(masks, cap)
+            with pytest.raises(CapacityError, match="^closure exceeded"):
+                betti._union_closure(masks, cap, "closure")
         else:
-            assert betti._union_closure(masks, cap) == oracle
+            assert betti._union_closure(masks, cap, "closure") == oracle
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -835,15 +852,13 @@ class TestRegularity:
     def test_engine_choices(self):
         I = I_of(path_graph(5))  # reg = nu(P5) + 1 = 3 (forest)
         settings = (("lcm",), ("hochster",), BOTH)
-        assert {regularity(I, e) for e in settings} == {3}
+        assert {betti_table(I, e).regularity() for e in settings} == {3}
 
     def test_bad_engine(self):
         I = I_of(path_graph(3))
         for bad in (("nope",), "lcm", "auto", "both", ("hochster", "lcm"), ()):
             with pytest.raises(ValueError):
                 betti_table(I, bad)
-            with pytest.raises(ValueError):
-                regularity(I, bad)
 
 
 class TestEngineRule:
@@ -905,6 +920,16 @@ class TestCaps:
         # I(K3,6) has 18 generators, over the lcm cap of 16.
         with pytest.raises(CapacityError):
             betti_table_lcm(I_of(complete_bipartite_graph(3, 6)))
+
+    def test_lcm_lattice_cap(self, monkeypatch):
+        # I(C5) has 5 generators and a lattice of 16 elements, over the
+        # patched cap; Hochster still answers a two-engine request.
+        I = I_of(cycle_graph(5))
+        monkeypatch.setattr(betti, "LCM_LATTICE_CAP", 5)
+        msg = "^lcm lattice exceeded the cap 5$"
+        with pytest.raises(CapacityError, match=msg):
+            betti_table(I, ("lcm",))
+        assert betti_table(I).engines == ("hochster",)
 
     def test_hochster_var_cap(self):
         # I(P25) polarizes to 25 variables, over the cap of 24.

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import edgeideals
-from edgeideals import betti
+from edgeideals import betti, verify
 from edgeideals.cli import main
 from edgeideals.generators import complete_bipartite_graph, cycle_graph, path_graph
 from edgeideals.graphs import to_edge_list
@@ -328,6 +328,15 @@ class TestVerify:
             == 2
         )
 
+    def test_edgeless_graph_past_s_2(self, capsys, tmp_path):
+        # No edges means no edge multisets at any s, not an IndexError
+        # from sampling an empty edge list.
+        f = tmp_path / "e.txt"
+        f.write_text("n 3\n")
+        argv = ["verify", "--graph", str(f), "--checks",
+                "lemma_colon_iteration", "--s-values", "3"]
+        assert main(argv) == 0
+
     def test_empty_check_list(self, capsys, graph_file):
         # A bare --checks names no check; it does not mean all of them.
         argv = ["verify", "--graph", graph_file(path_graph(4)), "--checks"]
@@ -471,6 +480,31 @@ class TestSweep:
     def test_bare_s_values_exits_2(self, capsys, tmp_path):
         argv = ["sweep", "--config", self._bht_on_p4(tmp_path), "--s-values"]
         assert usage_error(argv) == 2
+
+    @pytest.mark.parametrize("flag, jobs", [([], 2), (["--jobs", "0"], 0),
+                                            (["--jobs", "1"], 1)])
+    def test_jobs_flag_wins_over_config(self, tmp_path, monkeypatch, flag,
+                                        jobs):
+        # An explicit --jobs 0 is a value, not "not given".
+        seen = []
+        sweep_graphs = verify.sweep_graphs
+
+        def spy(spec, graphs, checks, params=None):
+            seen.append(params.jobs)
+            return sweep_graphs(spec, graphs, checks, params)
+
+        monkeypatch.setattr(verify, "sweep_graphs", spy)
+        cfg = self._config(
+            tmp_path,
+            {
+                "family": {"kind": "named", "names": ["P4"]},
+                "checks": ["bht"],
+                "s_values": [1],
+                "jobs": 2,
+            },
+        )
+        assert main(["sweep", "--config", cfg, *flag]) == 0
+        assert seen == [jobs]
 
     @pytest.mark.parametrize("jobs", ["-3", "-1", "two"])
     def test_bad_jobs_exits_2(self, capsys, tmp_path, jobs):

@@ -17,7 +17,6 @@ from edgeideals.monomials import (
     divides,
     edge_ideal,
     equals,
-    lcm,
     minimalize,
     monomial_str,
     mul,
@@ -47,7 +46,6 @@ class TestMonomialArithmetic:
         assert one(4) == (0, 0, 0, 0)
         assert divides(a, mul(a, b))
         assert not divides(b, a)
-        assert lcm(a, b) == (1, 2, 0, 0)
         assert colon_quotient(mul(a, b), b) == a
 
     def test_colon_quotient_is_division_of_lcm(self):

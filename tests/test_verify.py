@@ -162,6 +162,16 @@ class TestSweep:
         )
         assert serial.to_json() == parallel.to_json()
 
+    def test_edgeless_graph_has_no_multisets(self):
+        # As at s <= 2, a graph without edges gives no colon checks at
+        # s >= 3 instead of sampling from an empty edge list.
+        spec = FamilySpec(kind="named", names=("P1",))
+        params = SweepParams(s_values=(3,))
+        report = run_sweep(spec, list(CHECK_NAMES), params)
+        assert "lemma_colon_iteration" not in report.summary
+        assert "colon_squarefree_oddgirth" not in report.summary
+        assert report.summary["bht"]["skipped"] == 1
+
     def test_csv_shape(self):
         spec = FamilySpec(kind="named", names=("P4",))
         report = run_sweep(spec, ["katzman"], SweepParams(s_values=(1,)))
