@@ -41,21 +41,20 @@ when the link is a cone, it is the deletion's.  The pieces recurse
 through the same memo.  Only a component where no vertex qualifies has its
 faces enumerated, on whichever of its complex and its Alexander dual has
 fewer (the two have 2^c between them, and an exact face count of the
-complex, stopped at half, picks the side).  The face cap is a certified test, not an
-enumeration bound: a component raises only where both the nerve of its
-dual's facets and the complex are certified over the cap (a nerve simplex
-over the cap, and an exact face count of the complex over it), and both
-certificates only shrink under the reductions, so every capacity skip is
-decided before any piece is computed.  The lcm engine reduces by strong
-collapses on its own relation, a different theorem on a different complex
-from deletion and link, and still enumerates the faces of the core's
-complex, so wherever both engines answer, the reductions are checked
-against an independent route.
-The full support, often the first restriction to exceed the face cap, is
-computed before the union closure is built, and the sweep then goes from
-the largest restriction down; the order cannot change a table (entries
-are sums) or whether an ideal raises (a restriction raises or not on its
-own).
+complex, stopped at half, picks the side).  The lcm engine reduces by
+strong collapses on its own relation, a different theorem on a different
+complex from deletion and link, and still enumerates the faces of the
+core's complex, so wherever both engines answer, the reductions are
+checked against an independent route.
+
+Hochster decides capacity once, on the components of the full support,
+before the union closure is built.  HOMOLOGY_FACE_CAP is a certified
+test, not an enumeration bound: a component is over it only where both
+the nerve of its dual's facets and the complex itself are certified over
+the cap (`_over_face_cap`).  Both certified counts only shrink under
+deletion, link and splitting into components, and every restriction is
+a deletion of the full support, so once the full support passes, no
+component that the sweep or a reduction reaches could fail the test.
 
 Tables are indexed on the ideal I, not R/I: reg(I) = reg(R/I) + 1.
 Everything is over the rationals via exact integer ranks.
@@ -99,8 +98,6 @@ class EngineDisagreement(RuntimeError):
 # built has at most LCM_MAX_GENERATORS vertices, so at most 2^16 - 1 faces.
 LCM_MAX_GENERATORS = 16
 LCM_LATTICE_CAP = 5000
-HOCHSTER_MAX_VARS = 24
-HOCHSTER_MAX_GENS = 150
 HOCHSTER_UNION_CAP = 80000
 HOMOLOGY_FACE_CAP = 30000
 
@@ -360,33 +357,10 @@ def component_homology_poly(nvertices, nonfaces):
     One deletion or link reduces the component to smaller ones, memoized
     here too, when some vertex qualifies (`_reduce_by_vertex`); otherwise
     its faces, or its Alexander dual's, are enumerated
-    (`_enumerated_component_poly`).
-
-    HOMOLOGY_FACE_CAP is a certified threshold, not an enumeration bound.
-    Where 2^c - 1 nonempty faces could pass it, CapacityError is raised
-    first exactly when both routes are certified over it: the nerve of the
-    dual's facets, since the t facets through the busiest vertex (the
-    nonfaces avoiding it) span a simplex of 2^t - 1 faces, and the complex
-    by its exact face count (`_face_count`).  Both numbers only shrink
-    under deletion, link and splitting into components, so no piece of a
-    component that passes can raise, and every capacity skip is decided on
-    the component the sweep asked for.
+    (`_enumerated_component_poly`).  No capacity limit applies here:
+    `betti_table_hochster` decides capacity on the full support before any
+    component is computed.
     """
-    cap = HOMOLOGY_FACE_CAP
-    if (1 << nvertices) - 1 > cap:
-        busiest = max(
-            sum(not nf >> v & 1 for nf in nonfaces) for v in range(nvertices)
-        )
-        # The empty face is counted too, so the nonempty ones fit the cap
-        # exactly when the count is at most cap + 1.
-        if (1 << busiest) - 1 > cap and (
-            _face_count(nvertices, nonfaces, cap + 1) > cap + 1
-        ):
-            raise CapacityError(
-                f"restricted complex on {nvertices} vertices exceeded "
-                f"the face cap {cap} on both the "
-                f"primal and the dual-nerve route"
-            )
     poly = _reduce_by_vertex(nvertices, nonfaces)
     if poly is None:
         poly = _enumerated_component_poly(nvertices, nonfaces)
@@ -504,34 +478,45 @@ def _union_closure(masks, cap, name):
     return seen
 
 
+def _over_face_cap(nvertices, nonfaces, cap):
+    """Whether the component on 0..nvertices-1 with the given minimal
+    nonfaces is certified over `cap` nonempty faces on both routes: the
+    nerve of its dual's facets, since the t facets through the busiest
+    vertex (the nonfaces avoiding it) span a simplex of 2^t - 1 faces, and
+    the complex, by its exact face count (`_face_count`).  Never when its
+    2^c - 1 possible nonempty faces fit the cap."""
+    if (1 << nvertices) - 1 <= cap:
+        return False
+    busiest = max(
+        sum(not nf >> v & 1 for nf in nonfaces) for v in range(nvertices)
+    )
+    # The empty face is counted too, so the nonempty ones fit the cap
+    # exactly when the count is at most cap + 1.
+    return (1 << busiest) - 1 > cap and (
+        _face_count(nvertices, nonfaces, cap + 1) > cap + 1
+    )
+
+
 def betti_table_hochster(I):
     """Graded Betti table of I via polarization and restriction homology.
 
-    The full support is computed before the union closure is built, so
-    where its complex is over the face cap the ideal raises without
-    building the closure, and an ideal over both the union cap and the
-    face cap reports the face cap.  The sweep then finds the full support
-    in the component memo and goes on from the largest restriction down.
-    The order changes nothing else: entries are sums, and whether a
-    restriction raises depends on that restriction alone (the component
-    memo keeps only successes), so the ideal raises exactly when some
-    restriction does, whatever the order or the vertex labels.
+    CapacityError, before the union closure is built, when a component of
+    the full support is over HOMOLOGY_FACE_CAP (`_over_face_cap`), so an
+    ideal over both caps reports the face cap.
     """
     _check_ideal(I)
-    if len(I.gens) > HOCHSTER_MAX_GENS:
-        raise CapacityError(
-            f"{len(I.gens)} generators exceed the Hochster generator cap "
-            f"{HOCHSTER_MAX_GENS}"
-        )
-    npol, nonfaces = polarize(I)
-    if npol > HOCHSTER_MAX_VARS:
-        raise CapacityError(
-            f"{npol} polarized variables exceed the cap {HOCHSTER_MAX_VARS}"
-        )
-    restriction_homology_poly(tuple(nonfaces))  # may raise; memoizes
+    nonfaces = polarize(I)[1]
+    cap = HOMOLOGY_FACE_CAP
+    for comp in _split_components(nonfaces):
+        c, local = _localize(comp)
+        if _over_face_cap(c, local, cap):
+            raise CapacityError(
+                f"restricted complex on {c} vertices exceeded the face cap "
+                f"{cap} on both the primal and the dual-nerve route"
+            )
     unions = _union_closure(nonfaces, HOCHSTER_UNION_CAP, "union closure")
     entries = {}
-    for w in sorted(unions, key=int.bit_count, reverse=True):
+    for w in unions:
         nfs = tuple(nf for nf in nonfaces if not (nf & ~w))
         poly = restriction_homology_poly(nfs)
         if not poly:

@@ -341,13 +341,52 @@ CHECK_NAMES = tuple(CHECKS)
 MULTISET_EXHAUSTIVE_EDGE_LIMIT = 10
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class SweepParams:
+    """How a sweep quantifies its checks; ValueError for a value of the
+    wrong type or out of range, and for a power s listed twice."""
+
     s_values: tuple = (1, 2)
     seed: int = 0
     multiset_sample: int = 50
     jobs: int = 1
     timings: bool = False
+
+    def __post_init__(self):
+        s_values = self.s_values
+        if not (
+            isinstance(s_values, (list, tuple))
+            and s_values
+            and all(map(_is_int, s_values))
+        ):
+            raise ValueError(
+                f"s_values must be a nonempty list of integers, "
+                f"not {s_values!r}"
+            )
+        if min(s_values) < 1:
+            raise ValueError(f"s must be positive, not {min(s_values)}")
+        if len(set(s_values)) < len(s_values):
+            raise ValueError(f"s_values must not repeat a power: {s_values!r}")
+        self.s_values = tuple(s_values)
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
+        if not _is_int(self.multiset_sample) or self.multiset_sample < 1:
+            raise ValueError(
+                f"multiset_sample must be an integer of at least 1, "
+                f"not {self.multiset_sample!r}"
+            )
+        if not _is_int(self.jobs) or self.jobs < 0:
+            raise ValueError(
+                f"jobs must be an integer of at least 0, not {self.jobs!r}"
+            )
+        if not isinstance(self.timings, bool):
+            raise ValueError(
+                f"timings must be true or false, not {self.timings!r}"
+            )
 
 
 def _edge_multisets(G, s, params, instance_index):

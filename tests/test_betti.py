@@ -2,8 +2,8 @@
 other, the lcm engine's interval complexes against their definitions, the
 side Hochster enumerates a component on against the primal route, its
 deletion and link reductions against that enumeration, plus polarization
-invariance, the Hochster union closure and sweep order, and capacity
-behavior."""
+invariance, the Hochster union closure, and capacity behavior, decided
+on the full support."""
 
 import functools
 import gc
@@ -499,6 +499,16 @@ def path_component(n):
     return n, tuple((1 << v) | (1 << (v + 1)) for v in range(n - 1))
 
 
+def ideal_of(case):
+    """The squarefree ideal generated by a component's nonfaces, which
+    polarizes to the component itself."""
+    c, nonfaces = case
+    return MonomialIdeal(
+        c,
+        frozenset(tuple(nf >> v & 1 for v in range(c)) for nf in nonfaces),
+    )
+
+
 # The Alexander dual of this component is the cycle C13 as a graph, so its
 # nerve is small (26 faces) while the complex has over 8,000 faces.
 CYCLE_DUAL = (
@@ -573,13 +583,15 @@ large_antichains = (
 
 
 class TestCappedRoutes:
-    """HOMOLOGY_FACE_CAP as a certified test: CapacityError exactly when
-    both the nerve of the dual's facets and the complex are certified over
-    the cap, decided before any deletion, link or enumeration runs."""
+    """HOMOLOGY_FACE_CAP as a certified test on the full support:
+    `betti_table_hochster` raises CapacityError exactly when both the
+    nerve of the dual's facets and the complex are certified over the cap,
+    decided before any deletion, link or enumeration runs."""
 
     # The path on 14 vertices: vertex 0 is avoided by 12 nonfaces, so the
     # nerve has at least 2^12 - 1 = 4095 faces, while the complex has 986
-    # (the Fibonacci number F(16), less the empty face); it is S^4.
+    # (the Fibonacci number F(16), less the empty face); it is S^4, which
+    # is beta_{8,14} of I(P14).
     P14 = path_component(14)
     P14_POLY = (0, 0, 0, 0, 0, 1)
 
@@ -588,41 +600,37 @@ class TestCappedRoutes:
         primal = faces_from_nonfaces(*self.P14)
         assert len(primal) == 986
         assert primal_route(*self.P14) == self.P14_POLY
-        poly = betti.component_homology_poly.__wrapped__
+        I = ideal_of(self.P14)
+        monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", len(primal))
+        assert betti_table_hochster(I).rank(8, 14) == 1
+        # One face fewer: both routes are certified over, and the ideal
+        # raises before anything is enumerated.
         calls = record_calls(
             monkeypatch, "faces_from_nonfaces", "_submask_faces"
         )
-        betti.component_homology_poly.cache_clear()
-        monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", len(primal))
-        assert poly(*self.P14) == self.P14_POLY
-        # One face fewer: both routes are certified over, and the component
-        # raises before anything is enumerated.
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", len(primal) - 1)
-        betti.component_homology_poly.cache_clear()
         with pytest.raises(CapacityError, match="face cap 985"):
-            poly(*self.P14)
+            betti_table_hochster(I)
         assert calls == []
 
     def test_nerve_bound_is_tight(self, monkeypatch):
         # Every vertex of CYCLE_DUAL is avoided by two nonfaces and its
         # complex has 8,164 faces: the nerve simplex of 2^2 - 1 = 3 faces
-        # lets it through at cap 3, and at cap 2 both are over.
-        poly = betti.component_homology_poly.__wrapped__
-        betti.component_homology_poly.cache_clear()
+        # lets it through at cap 3, and at cap 2 both are over.  Its
+        # circle is beta_{2,13} of the ideal.
+        I = ideal_of(CYCLE_DUAL)
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 3)
-        assert poly(*CYCLE_DUAL) == CYCLE_DUAL_POLY
+        assert betti_table_hochster(I).rank(2, 13) == 1
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 2)
-        betti.component_homology_poly.cache_clear()
         with pytest.raises(CapacityError, match="13 vertices .* face cap 2 "):
-            poly(*CYCLE_DUAL)
+            betti_table_hochster(I)
 
     def test_small_nerve_answers(self, monkeypatch):
         assert primal_route(*CYCLE_DUAL) == CYCLE_DUAL_POLY
         calls = record_calls(monkeypatch, "faces_from_nonfaces")
         betti.component_homology_poly.cache_clear()
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 100)
-        poly = betti.component_homology_poly.__wrapped__
-        assert poly(*CYCLE_DUAL) == CYCLE_DUAL_POLY
+        assert betti_table_hochster(ideal_of(CYCLE_DUAL)).rank(2, 13) == 1
         assert calls == []
 
     def test_small_components_are_tested_too(self, monkeypatch):
@@ -638,9 +646,8 @@ class TestCappedRoutes:
             ),
         )
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 80)
-        betti.component_homology_poly.cache_clear()
         with pytest.raises(CapacityError, match="8 vertices .* face cap 80 "):
-            betti.component_homology_poly.__wrapped__(*skeleton)
+            betti_table_hochster(ideal_of(skeleton))
 
     @pytest.mark.parametrize("n", [13, 14, 15, 16])
     def test_long_paths_reduce_without_enumeration(self, monkeypatch, n):
@@ -656,8 +663,9 @@ class TestCappedRoutes:
     @given(large_antichains, st.data())
     def test_pieces_of_a_passing_component_never_raise(self, case, data):
         # Both certified counts only shrink under deletion, link and
-        # splitting, so either the component itself raises or nothing
-        # below it does and the answer is the primal's.
+        # splitting, so no piece the reductions reach from a component
+        # under the cap is over it, and the answer is the primal's.  This
+        # lets `betti_table_hochster` test the full support alone.
         c, nonfaces = case
         assume(c >= 15)
         busiest = max(
@@ -672,30 +680,26 @@ class TestCappedRoutes:
             | st.integers(1, 3000),
             label="cap",
         )
+        over = betti._over_face_cap(c, nonfaces, cap)
+        assert over == ((1 << busiest) - 1 > cap and nfaces > cap)
+        if over:
+            return
         memo = betti.component_homology_poly
-        raised = []
+        pieces_over = []
 
-        def record(*args):
-            try:
-                return memo(*args)
-            except CapacityError:
-                raised.append(args)
-                raise
+        def spy(*args):
+            if betti._over_face_cap(*args, cap):
+                pieces_over.append(args)
+            return memo(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(betti, "HOMOLOGY_FACE_CAP", cap)
-            mp.setattr(betti, "component_homology_poly", record)
+            mp.setattr(betti, "component_homology_poly", spy)
             memo.cache_clear()
             try:
                 got = memo.__wrapped__(c, nonfaces)
-            except CapacityError:
-                assert raised == []
-                assert (1 << busiest) - 1 > cap and nfaces > cap
-                return
             finally:
                 memo.cache_clear()
-        assert raised == []
-        assert (1 << busiest) - 1 <= cap or nfaces <= cap
+        assert pieces_over == []
         if nfaces <= 4000:
             assert got == primal_route(c, nonfaces)
         else:
@@ -782,7 +786,8 @@ class TestHochsterSweep:
 
     def test_capacity_error_keeps_no_abandoned_route(self, monkeypatch):
         # The 20-vertex component of corona(C5)^2 is certified over the
-        # cap on both routes, so neither enumerator starts, no face list is
+        # cap on both routes, so neither the union closure nor any
+        # component homology nor either enumerator starts, no face list is
         # left behind, and no overflow is chained to the error.
         def overflowed():
             return sum(
@@ -792,9 +797,12 @@ class TestHochsterSweep:
             )
 
         calls = record_calls(
-            monkeypatch, "_submask_faces", "faces_from_nonfaces"
+            monkeypatch,
+            "_union_closure",
+            "component_homology_poly",
+            "_submask_faces",
+            "faces_from_nonfaces",
         )
-        betti.component_homology_poly.cache_clear()
         with pytest.raises(CapacityError, match="on 20 vertices") as exc:
             betti_table_hochster(power(I_of(corona(cycle_graph(5))), 2))
         assert exc.value.__context__ is None
@@ -803,7 +811,7 @@ class TestHochsterSweep:
 
     def test_face_cap_reported_before_the_union_cap(self, monkeypatch):
         # corona(C5)^2 is over the face cap; with the union cap patched
-        # below its closure it is over both, and the full support, computed
+        # below its closure it is over both, and the full support, tested
         # before the closure is built, names the face cap.
         monkeypatch.setattr(betti, "HOCHSTER_UNION_CAP", 1)
         with pytest.raises(CapacityError, match="face cap"):
@@ -811,27 +819,35 @@ class TestHochsterSweep:
         with pytest.raises(CapacityError, match="union closure exceeded"):
             betti_table_hochster(I_of(cycle_graph(5)))
 
-    def test_first_restriction_is_the_full_support(self, monkeypatch):
+    def test_capacity_is_decided_on_the_full_support(self, monkeypatch):
+        # The certificate runs once on each localized component of the
+        # full support, before the union closure is built, and on nothing
+        # after it.
         calls = []
+        over, closure = betti._over_face_cap, betti._union_closure
 
-        class Stop(Exception):
-            pass
+        def record_over(c, nonfaces, cap):
+            calls.append((c, nonfaces))
+            return over(c, nonfaces, cap)
 
-        def record(nonfaces):
-            calls.append(nonfaces)
-            raise Stop
+        def record_closure(*args):
+            calls.append("closure")
+            return closure(*args)
 
-        monkeypatch.setattr(betti, "restriction_homology_poly", record)
+        monkeypatch.setattr(betti, "_over_face_cap", record_over)
+        monkeypatch.setattr(betti, "_union_closure", record_closure)
         rng = random.Random(14)
         for _ in range(10):
             G = random_graph(rng.randint(2, 7), 0.5, seed=rng.randint(0, 99))
-            I = power(I_of(G), rng.randint(1, 3))
+            I = power(I_of(G), rng.randint(1, 2))
             if I.is_zero:
                 continue
             calls.clear()
-            with pytest.raises(Stop):
-                betti_table_hochster(I)
-            assert calls == [tuple(polarize(I)[1])]
+            betti_table_hochster(I)
+            comps = betti._split_components(polarize(I)[1])
+            assert calls == [betti._localize(comp) for comp in comps] + [
+                "closure"
+            ]
 
 
 class TestRegularity:
@@ -871,13 +887,24 @@ class TestEngineRule:
     def test_one_engine_request_raises_its_own_error(self):
         with pytest.raises(CapacityError, match="^18 generators exceed"):
             betti_table(I_of(complete_bipartite_graph(3, 6)), ("lcm",))
-        with pytest.raises(CapacityError, match="^25 polarized variables"):
+        with pytest.raises(
+            CapacityError, match="^restricted complex on 25 vertices"
+        ):
             betti_table(I_of(path_graph(25)), ("hochster",))
 
     def test_both_over_cap(self):
-        # I(P26): 25 generators and 26 polarized variables.
+        # I(P26): 25 generators, over the lcm cap, and one path component
+        # on 26 vertices, over the face cap.
         with pytest.raises(CapacityError, match="^both engines over capacity"):
             betti_table(I_of(path_graph(26)))
+
+    def test_hochster_answers_on_26_polarized_variables(self):
+        # I(13 K2): the lcm lattice, 2^13 - 1 elements, is over its cap,
+        # while each component is one edge and the union closure fits.
+        G = Graph.from_edges(26, [(2 * i, 2 * i + 1) for i in range(13)])
+        T = betti_table(I_of(G))
+        assert T.engines == ("hochster",)
+        assert T.regularity() == 14  # nu + 1
 
     def test_hochster_answers_past_an_uncertified_overflow(self):
         # I(G)^2 polarizes to one component on 16 vertices whose nerve
@@ -931,23 +958,23 @@ class TestCaps:
             betti_table(I, ("lcm",))
         assert betti_table(I).engines == ("hochster",)
 
-    def test_hochster_var_cap(self):
-        # I(P25) polarizes to 25 variables, over the cap of 24.
-        with pytest.raises(CapacityError):
-            betti_table_hochster(I_of(path_graph(25)))
-
     def test_homology_face_cap(self, monkeypatch):
-        # The independence complex of the path on 13 vertices: 2^13 - 1
-        # faces could pass the patched cap, so the capacity test runs, and
-        # both the nerve simplex and the face count are over it.
-        nonfaces = tuple((1 << v) | (1 << (v + 1)) for v in range(12))
-        betti.component_homology_poly.cache_clear()
+        # The independence complex of a path is one component whose nerve
+        # simplex and face count are both over the cap: on 25 vertices
+        # under the default cap, and on 13 under a patched one that its
+        # 2^13 - 1 possible faces exceed.
+        msg = "^restricted complex on 25 vertices exceeded the face cap 30000 "
+        with pytest.raises(CapacityError, match=msg):
+            betti_table_hochster(I_of(path_graph(25)))
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 5)
-        with pytest.raises(CapacityError, match="face cap 5"):
-            betti.component_homology_poly(13, nonfaces)
+        with pytest.raises(CapacityError, match="13 vertices .* face cap 5 "):
+            betti_table_hochster(I_of(path_graph(13)))
 
     def test_engine_disagreement_repr(self):
         I = I_of(path_graph(3))
         T = betti_table(I, ("lcm",))
-        exc = EngineDisagreement(I, T, T)
-        assert "disagree" in str(exc).lower() or exc.ideal is I
+        exc = EngineDisagreement(I, T, BettiTable({(0, 2): 9}))
+        assert str(exc) == (
+            "Betti engines disagree on ['x1*x2', 'x0*x1']: "
+            "lcm=[(0, 2, 2), (1, 3, 1)] hochster=[(0, 2, 9)]"
+        )

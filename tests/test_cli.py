@@ -314,6 +314,13 @@ class TestVerify:
         assert main(argv) == 2
         assert "s must be positive" in capsys.readouterr().err
 
+    def test_repeated_power_is_an_input_error(self, capsys, graph_file):
+        # One instance checked at s = 1, not two passes for it.
+        argv = ["verify", "--graph", graph_file(cycle_graph(5)),
+                "--checks", "bht", "--s-values", "1", "1"]
+        assert main(argv) == 2
+        assert "must not repeat a power" in capsys.readouterr().err
+
     def test_unknown_check(self, capsys, graph_file):
         assert (
             main(
@@ -533,6 +540,7 @@ class TestSweep:
             ("checks", "bht", "checks must be a list of check names"),
             ("checks", ["bht", 1], "checks must be a list of check names"),
             ("checks", [], "checks must name at least one check"),
+            ("s_values", [1, 2, 1], "s_values must not repeat a power"),
         ],
     )
     def test_bad_config_value_exits_2(self, capsys, tmp_path, key, value,

@@ -123,6 +123,28 @@ class TestIndividualChecks:
         assert check_banerjee_recursion(cycle_graph(5), 1).verdict == "pass"
 
 
+class TestSweepParams:
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ({"s_values": (0,)}, "s must be positive"),
+            ({"s_values": ()}, "s_values must be a nonempty list"),
+            ({"s_values": (1, True)}, "s_values must be a nonempty list"),
+            ({"s_values": (1, 1)}, "s_values must not repeat a power"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"multiset_sample": 0}, "multiset_sample must be"),
+            ({"jobs": -3}, "jobs must be an integer of at least 0"),
+            ({"timings": 1}, "timings must be true or false"),
+        ],
+    )
+    def test_rejects_a_bad_value(self, given, message):
+        with pytest.raises(ValueError, match=message):
+            SweepParams(**given)
+
+    def test_stores_s_values_as_a_tuple(self):
+        assert SweepParams(s_values=[2, 1]).s_values == (2, 1)
+
+
 class TestSweep:
     def test_unknown_check_rejected(self):
         spec = FamilySpec(kind="named", names=("P4",))
