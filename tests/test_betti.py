@@ -958,14 +958,18 @@ class TestCaps:
             betti_table(I, ("lcm",))
         assert betti_table(I).engines == ("hochster",)
 
-    def test_homology_face_cap(self, monkeypatch):
-        # The independence complex of a path is one component whose nerve
-        # simplex and face count are both over the cap: on 25 vertices
-        # under the default cap, and on 13 under a patched one that its
-        # 2^13 - 1 possible faces exceed.
+    def test_hochster_var_cap(self):
+        # I(P25) polarizes to 25 variables. There is no cap on the number
+        # of variables: its independence complex is one component whose
+        # nerve simplex and face count are both over the default face cap.
         msg = "^restricted complex on 25 vertices exceeded the face cap 30000 "
         with pytest.raises(CapacityError, match=msg):
             betti_table_hochster(I_of(path_graph(25)))
+
+    def test_homology_face_cap(self, monkeypatch):
+        # The independence complex of the path on 13 vertices: its
+        # 2^13 - 1 possible faces exceed the patched cap, and both the
+        # nerve simplex and the face count are over it.
         monkeypatch.setattr(betti, "HOMOLOGY_FACE_CAP", 5)
         with pytest.raises(CapacityError, match="13 vertices .* face cap 5 "):
             betti_table_hochster(I_of(path_graph(13)))
