@@ -48,13 +48,17 @@ core's complex, so wherever both engines answer, the reductions are
 checked against an independent route.
 
 Hochster decides capacity once, on the components of the full support,
-before the union closure is built.  HOMOLOGY_FACE_CAP is a certified
-test, not an enumeration bound: a component is over it only where both
-the nerve of its dual's facets and the complex itself are certified over
-the cap (`_over_face_cap`).  Both certified counts only shrink under
-deletion, link and splitting into components, and every restriction is
-a deletion of the full support, so once the full support passes, no
-component that the sweep or a reduction reaches could fail the test.
+before the union closure is built.  HOCHSTER_MAX_VARS bounds a
+component's vertices, and with them the depth of the reductions and of
+the face count, one level per vertex, and the side that
+`_enumerated_component_poly` builds, at most 2^(c-1) faces.
+HOMOLOGY_FACE_CAP is a certified test, not an enumeration bound: a
+component is over it only where both the nerve of its dual's facets and
+the complex itself are certified over the cap (`_over_face_cap`).  Both
+certified counts, and the vertex count, only shrink under deletion, link
+and splitting into components, and every restriction is a deletion of
+the full support, so once the full support passes, no component that the
+sweep or a reduction reaches could fail either test.
 
 Tables are indexed on the ideal I, not R/I: reg(I) = reg(R/I) + 1.
 Everything is over the rationals via exact integer ranks.
@@ -98,6 +102,7 @@ class EngineDisagreement(RuntimeError):
 # built has at most LCM_MAX_GENERATORS vertices, so at most 2^16 - 1 faces.
 LCM_MAX_GENERATORS = 16
 LCM_LATTICE_CAP = 5000
+HOCHSTER_MAX_VARS = 24  # per component of the full support
 HOCHSTER_UNION_CAP = 80000
 HOMOLOGY_FACE_CAP = 30000
 
@@ -220,9 +225,9 @@ def _enumerated_component_poly(nvertices, nonfaces):
     so the two have 2^c faces between them, the empty ones included.
     `_face_count` picks the side without building a face: the complex when
     it has fewer than 2^(c-1) faces, else the dual, which then has at most
-    2^(c-1) - 1 nonempty ones.  No face cap applies: the components that
-    reach here are small, at most 8 vertices on every ideal of criteria 1
-    and 8."""
+    2^(c-1) - 1 nonempty ones.  No face cap applies: a component has at
+    most HOCHSTER_MAX_VARS vertices, and those that reach here are
+    smaller, at most 8 on every ideal of criteria 1 and 8."""
     half = 1 << (nvertices - 1)
     if _face_count(nvertices, nonfaces, half - 1) < half:
         faces = faces_from_nonfaces(nvertices, nonfaces)
@@ -500,15 +505,20 @@ def _over_face_cap(nvertices, nonfaces, cap):
 def betti_table_hochster(I):
     """Graded Betti table of I via polarization and restriction homology.
 
-    CapacityError, before the union closure is built, when a component of
-    the full support is over HOMOLOGY_FACE_CAP (`_over_face_cap`), so an
-    ideal over both caps reports the face cap.
+    CapacityError, before the union closure is built, at the first
+    component of the full support with more than HOCHSTER_MAX_VARS
+    vertices or over HOMOLOGY_FACE_CAP (`_over_face_cap`), so an ideal
+    also over the union cap reports the component.
     """
     _check_ideal(I)
     nonfaces = polarize(I)[1]
     cap = HOMOLOGY_FACE_CAP
     for comp in _split_components(nonfaces):
         c, local = _localize(comp)
+        if c > HOCHSTER_MAX_VARS:
+            raise CapacityError(
+                f"{c} polarized variables exceed the cap {HOCHSTER_MAX_VARS}"
+            )
         if _over_face_cap(c, local, cap):
             raise CapacityError(
                 f"restricted complex on {c} vertices exceeded the face cap "

@@ -8,6 +8,7 @@ errors found, 2 input or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -187,15 +188,14 @@ def cmd_colon(args):
     return EXIT_OK if agree else EXIT_FAIL
 
 
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(SweepParams))
+_SWEEP_KEYS = ("family", "checks") + _PARAM_KEYS
+
+
 def _params_from_args(args, config=None):
-    """Sweep parameters from the flags merged over the config's, the keys
-    of a sweep config other than the family and the checks; CliError for
-    a value that SweepParams rejects."""
-    given = {
-        k: v
-        for k, v in (config or {}).items()
-        if k not in ("family", "checks")
-    }
+    """Sweep parameters from the flags merged over the config's; CliError
+    for a value that SweepParams rejects."""
+    given = {k: v for k, v in (config or {}).items() if k in _PARAM_KEYS}
     for key in ("s_values", "seed", "jobs"):
         value = getattr(args, key, None)
         if value is not None:
@@ -245,10 +245,6 @@ def _render_report_text(report):
         lines.append(f"ERROR {r.check} {r.instance} {r.values}")
     lines.append(f"total failures: {report.fail_count}")
     return "\n".join(lines)
-
-
-_SWEEP_KEYS = ("family", "checks", "s_values", "seed", "multiset_sample",
-               "jobs", "timings")
 
 
 def cmd_sweep(args):

@@ -820,9 +820,10 @@ class TestHochsterSweep:
             betti_table_hochster(I_of(cycle_graph(5)))
 
     def test_capacity_is_decided_on_the_full_support(self, monkeypatch):
-        # The certificate runs once on each localized component of the
-        # full support, before the union closure is built, and on nothing
-        # after it.
+        # The certificate runs on each localized component of the full
+        # support in turn, before the union closure is built, and on
+        # nothing after it; a raise stops at the first component over the
+        # cap, with no closure built.
         calls = []
         over, closure = betti._over_face_cap, betti._union_closure
 
@@ -836,18 +837,31 @@ class TestHochsterSweep:
 
         monkeypatch.setattr(betti, "_over_face_cap", record_over)
         monkeypatch.setattr(betti, "_union_closure", record_closure)
+        cap = betti.HOMOLOGY_FACE_CAP
         rng = random.Random(14)
+        raised = answered = 0
         for _ in range(10):
             G = random_graph(rng.randint(2, 7), 0.5, seed=rng.randint(0, 99))
-            I = power(I_of(G), rng.randint(1, 2))
+            I = power(I_of(G), rng.randint(1, 3))
             if I.is_zero:
                 continue
             calls.clear()
-            betti_table_hochster(I)
-            comps = betti._split_components(polarize(I)[1])
-            assert calls == [betti._localize(comp) for comp in comps] + [
-                "closure"
+            comps = [
+                betti._localize(comp)
+                for comp in betti._split_components(polarize(I)[1])
             ]
+            try:
+                betti_table_hochster(I)
+            except CapacityError:
+                raised += 1
+                assert calls == comps[: len(calls)]
+                assert [over(*comp, cap) for comp in calls] == [False] * (
+                    len(calls) - 1
+                ) + [True]
+            else:
+                answered += 1
+                assert calls == comps + ["closure"]
+        assert raised and answered
 
 
 class TestRegularity:
@@ -888,19 +902,20 @@ class TestEngineRule:
         with pytest.raises(CapacityError, match="^18 generators exceed"):
             betti_table(I_of(complete_bipartite_graph(3, 6)), ("lcm",))
         with pytest.raises(
-            CapacityError, match="^restricted complex on 25 vertices"
+            CapacityError, match="^25 polarized variables exceed the cap 24$"
         ):
             betti_table(I_of(path_graph(25)), ("hochster",))
 
     def test_both_over_cap(self):
         # I(P26): 25 generators, over the lcm cap, and one path component
-        # on 26 vertices, over the face cap.
+        # on 26 vertices, over the variable cap.
         with pytest.raises(CapacityError, match="^both engines over capacity"):
             betti_table(I_of(path_graph(26)))
 
     def test_hochster_answers_on_26_polarized_variables(self):
         # I(13 K2): the lcm lattice, 2^13 - 1 elements, is over its cap,
-        # while each component is one edge and the union closure fits.
+        # while each component is one edge, on 2 of the 26 variables, and
+        # the union closure fits.
         G = Graph.from_edges(26, [(2 * i, 2 * i + 1) for i in range(13)])
         T = betti_table(I_of(G))
         assert T.engines == ("hochster",)
@@ -958,13 +973,35 @@ class TestCaps:
             betti_table(I, ("lcm",))
         assert betti_table(I).engines == ("hochster",)
 
-    def test_hochster_var_cap(self):
-        # I(P25) polarizes to 25 variables. There is no cap on the number
-        # of variables: its independence complex is one component whose
-        # nerve simplex and face count are both over the default face cap.
-        msg = "^restricted complex on 25 vertices exceeded the face cap 30000 "
+    def test_hochster_var_cap(self, monkeypatch):
+        # The cap is on each component of the full support: I(P25) is one
+        # component on 25 variables, I(13 K2) is 13 components on 2.
+        msg = "^25 polarized variables exceed the cap 24$"
         with pytest.raises(CapacityError, match=msg):
             betti_table_hochster(I_of(path_graph(25)))
+        # It bounds the recursion depth, one level per vertex: I(P1200),
+        # whose face count would recurse 1,200 levels deep, raises before
+        # any face is counted.
+        calls = record_calls(
+            monkeypatch,
+            "_face_count",
+            "_union_closure",
+            "component_homology_poly",
+        )
+        with pytest.raises(CapacityError, match="^1200 polarized variables"):
+            betti_table_hochster(I_of(path_graph(1200)))
+        with pytest.raises(CapacityError, match="^both engines over"):
+            betti_table(I_of(path_graph(1200)))
+        assert calls == []
+
+    def test_deep_principal_power_is_answered_by_lcm(self):
+        # (xy)^200 polarizes to one nonface on 400 variables, which the
+        # face test passes and each reduction would strip one vertex of;
+        # Hochster refuses it and the lcm engine answers.
+        I = power(I_of(complete_graph(2)), 200)
+        T = betti_table(I)
+        assert T.engines == ("lcm",)
+        assert T.rows() == [(0, 400, 1)]
 
     def test_homology_face_cap(self, monkeypatch):
         # The independence complex of the path on 13 vertices: its
