@@ -558,17 +558,24 @@ def _maximal(masks):
     """The inclusion-maximal masks among `masks`, one copy of each."""
     kept = []
     for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if not any(m & k == m for k in kept):
+        for k in kept:
+            if m & k == m:
+                break
+        else:
             kept.append(m)
     return kept
 
 
 def _transpose(rows, ncols):
-    """Column masks over the rows of a relation given by its row masks."""
-    return [
-        sum(1 << i for i, r in enumerate(rows) if r >> c & 1)
-        for c in range(ncols)
-    ]
+    """Column masks over the rows of a relation given by its row masks,
+    visiting only each row's set bits."""
+    cols = [0] * ncols
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return cols
 
 
 def _dowker_core(rows, ncols):

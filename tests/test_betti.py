@@ -238,9 +238,7 @@ class TestIntervals:
             ranks = betti._crosscut_ranks(atoms)
             assert ranks == reduced_homology_ranks(crosscut_oracle(atoms, m))
             assert ranks == reduced_homology_ranks(koszul_oracle(gens, m))
-        # Hochster takes 0.2-5 s per ideal past 10 polarized variables.
-        if polarize(I)[0] <= 10:
-            assert betti_table_lcm(I) == betti_table_hochster(I)
+        assert betti_table_lcm(I) == betti_table_hochster(I)
 
 
 # Relations of 1-8 rows over 1-10 columns, as row masks.

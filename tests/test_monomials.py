@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeideals.graphs import Graph
@@ -12,9 +12,7 @@ from edgeideals.monomials import (
     IdealError,
     MonomialIdeal,
     colon_by_monomial,
-    colon_quotient,
     degree,
-    divides,
     edge_ideal,
     equals,
     minimalize,
@@ -30,6 +28,17 @@ from edgeideals.generators import cycle_graph, path_graph
 
 def rand_monomial(rng, nvars, maxdeg=3):
     return tuple(rng.randint(0, maxdeg) for _ in range(nvars))
+
+
+def divides(a, b):
+    """Divisibility oracle on exponent tuples: a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def colon_quotient(g, m):
+    """Colon oracle on exponent tuples: each exponent of g less that of
+    m, floored at zero."""
+    return tuple(x - y if x > y else 0 for x, y in zip(g, m))
 
 
 def contains(I, m):
@@ -269,3 +278,90 @@ class TestColon:
         G = path_graph(3)
         m = product_of_edges(G.n, [(0, 1), (1, 2)])
         assert m == (1, 2, 1)
+
+
+# Exponents on both sides of each packed-field boundary: a field of w
+# bytes holds exponents below 2^(8w - 1), under its guard bit, so 127,
+# 32767 and 2^71 - 1 are the largest of one, two and nine bytes.
+BOUNDARY_EXPONENTS = (
+    126, 127, 128, 129, 32766, 32767, 32768, 32769, 2**64 - 1, 2**64,
+    2**64 + 1,
+)
+exponents = st.one_of(
+    st.integers(0, 3), st.sampled_from(BOUNDARY_EXPONENTS)
+)
+
+
+@st.composite
+def wide_ideals(draw):
+    """(nvars, generators): up to six of them, exponents drawn across the
+    field boundaries; no generators is the zero ideal, and about one draw
+    in five adds the unit monomial."""
+    nvars = draw(st.integers(0, 6))
+    gens = draw(st.lists(st.tuples(*[exponents] * nvars), max_size=6))
+    if draw(st.integers(0, 4)) == 0:
+        gens.append(one(nvars))
+    return nvars, gens
+
+
+def reference_power(gens, s):
+    """All products of s generators, minimalized by brute force."""
+    return reference_minimal(
+        tuple(map(sum, zip(*c)))
+        for c in itertools.combinations_with_replacement(gens, s)
+    )
+
+
+class TestPackedKernel:
+    """power, colon_by_monomial and minimalize against tuple oracles, on
+    exponents that need every packed width."""
+
+    @settings(deadline=None)
+    @given(wide_ideals())
+    @example((1, [(126,), (127,)]))
+    @example((1, [(127,), (128,)]))
+    @example((2, [(32767, 1), (32768, 0), (32768, 1)]))
+    @example((2, [(2**64, 3), (2**64 - 1, 5), (2**64 + 1, 3)]))
+    def test_minimalize(self, case):
+        nvars, gens = case
+        assert minimalize(nvars, gens).gens == reference_minimal(gens)
+
+    @settings(deadline=None)
+    @given(wide_ideals(), st.integers(1, 3))
+    # s times the largest exponent is 127, the largest one-byte field,
+    # and 128, the first that needs two bytes; then the zero and the unit
+    # ideal.
+    @example((3, [(1, 0, 0), (0, 1, 1)]), 127)
+    @example((2, [(64, 0), (0, 1), (1, 1)]), 2)
+    @example((3, []), 3)
+    @example((3, [(0, 0, 0), (2**64, 1, 0)]), 3)
+    def test_power(self, case, s):
+        nvars, gens = case
+        I = minimalize(nvars, gens)
+        assert power(I, s).gens == reference_power(I.gens, s)
+
+    @settings(deadline=None)
+    @given(
+        wide_ideals(),
+        st.lists(st.one_of(exponents, st.integers(2**64, 2**66)),
+                 min_size=6, max_size=6),
+    )
+    # m beyond every exponent of the ideal, in every variable; then
+    # the zero and the unit ideal.
+    @example((2, [(2, 1), (0, 3)]), [5, 2**70])
+    @example((2, [(127, 1), (128, 0)]), [1, 1])
+    @example((3, []), [1, 2**70, 0])
+    @example((3, [(0, 0, 0), (1, 0, 0)]), [1, 2**70, 0])
+    def test_colon(self, case, exps):
+        nvars, gens = case
+        I = minimalize(nvars, gens)
+        m = tuple(exps[:nvars])
+        expected = reference_minimal(colon_quotient(g, m) for g in I.gens)
+        assert colon_by_monomial(I, m).gens == expected
+
+    def test_wrong_arity_is_refused_before_packing(self):
+        # Cut to two variables, the longer tuple is a multiple of the
+        # shorter one and would be dropped as not minimal, so only an
+        # arity check refuses it.
+        with pytest.raises(IdealError, match="wrong arity"):
+            minimalize(2, [(1, 0), (1, 1, 0)])

@@ -2,6 +2,7 @@
 deterministic reports, parallel/serial agreement, and engine
 disagreements recorded as errors."""
 
+import hashlib
 import json
 import multiprocessing
 
@@ -173,6 +174,23 @@ class TestSweep:
         assert a.to_json() == b.to_json()
         obj = json.loads(a.to_json())
         assert obj["field"] == "QQ" and "version" in obj
+
+    def test_pinned_report(self):
+        """The whole report of a fixed sweep, pinned by its sha256: every
+        check on four named graphs at s = 1, 2.  The hash does not depend
+        on PYTHONHASHSEED.  A deliberate change of the report's content
+        or a version bump updates the hash in the same change, with the
+        reason in CHANGES.md; any other change of it is a regression."""
+        spec = FamilySpec(
+            kind="named", names=("C5", "P4", "corona(C5)", "corona(C7)")
+        )
+        report = run_sweep(
+            spec, list(CHECK_NAMES), SweepParams(s_values=(1, 2), seed=0)
+        )
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == (
+            "4acc8f3cafe2a2018460071cc1d4c06522c1c70a45420e04015612133950016f"
+        )
 
     def test_jobs_parallel_equals_serial(self):
         spec = FamilySpec(kind="named", names=("P4", "C5", "C4", "C7"))
