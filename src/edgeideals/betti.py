@@ -15,18 +15,25 @@ m_v, over the interval's atoms, the minimal generators dividing m) is a
 Dowker pair with two homotopy equivalent complexes: the crosscut complex
 on the atoms (the nerve of the slack masks, homotopy equivalent to the
 interval's order complex) and the upper Koszul complex K^m(I) on the
-variables of m (Miller-Sturmfels, Thm 1.34).  Each interval first
-reduces the relation to its Dowker core, dropping rows inside other rows
-and columns inside other columns, strong collapses that keep both
-homotopy types, then builds whichever complex of the core has fewer
-vertices; on a tie, the crosscut complex.  Both are submask complexes,
-K^m of the core's rows and the nerve of its columns (atoms form a face
-exactly when some variable is slack in all of them), so `_submask_faces`
-builds either, and with at most LCM_MAX_GENERATORS vertices it needs no
-face cap.  The interval homology stays independent of Hochster: it works
-on the unpolarized support of m, while Hochster restricts the polarized
-Stanley-Reisner complex, and for squarefree m, K^m is the Alexander dual
-of Hochster's restriction.
+variables of m (Miller-Sturmfels, Thm 1.34).  The relation is read off
+the polarized masks (`_slack_relations`): the atoms by one OR of
+precomputed generator sets per variable that the element's mask stops
+short of, and each atom's row as the element's top copies missing from
+the atom's mask, compressed onto supp(m).  The homology is memoized on
+the relation itself, its distinct rows and column count, not on m: equal
+relations give equal complexes, so the key hits across intervals and
+across ideals.  A miss reduces the relation to its Dowker core,
+dropping rows inside other rows and columns inside other columns, strong
+collapses that keep both homotopy types, and a second memo, on the core,
+builds whichever complex of the core has fewer vertices; on a tie, the
+crosscut complex.  Both are submask complexes, K^m of the core's rows and
+the nerve of its columns (atoms form a face exactly when some variable is
+slack in all of them), so `_submask_faces` builds either, and with at
+most LCM_MAX_GENERATORS vertices it needs no face cap.  The interval
+homology stays independent of Hochster: it works on the unpolarized
+support of m, while Hochster restricts the polarized Stanley-Reisner
+complex, and for squarefree m, K^m is the Alexander dual of Hochster's
+restriction; Hochster reads neither the relation nor the core memo.
 
 Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
@@ -68,8 +75,8 @@ CapacityError rather than degrade silently.  `betti_table` runs each
 requested engine that fits its limits and requires the tables to agree
 when two answer.
 
-The component, interval and regularity memos are bounded `lru_cache`s, so
-their hits are readable from `cache_info()`.
+The component, relation, core, polarization and regularity memos are
+bounded `lru_cache`s, so their hits are readable from `cache_info()`.
 """
 
 from __future__ import annotations
@@ -394,28 +401,34 @@ def _split_components(nonfaces):
     return comps
 
 
+def _runs(mask):
+    """The runs of consecutive set bits of `mask`, each with the shift
+    that moves it down past the clear bits below it, so OR-ing
+    (x & run) >> shift over the runs compresses x onto mask's bits."""
+    runs = []
+    c = 0
+    while mask:
+        low = mask & -mask
+        run = ((mask + low) & ~mask) - low
+        runs.append((run, low.bit_length() - 1 - c))
+        c += run.bit_count()
+        mask ^= run
+    return runs
+
+
 def _localize(nonfaces):
     """Relabel the vertices of a nonface group to 0..c-1; returns (c, masks)."""
     union = 0
     for nf in nonfaces:
         union |= nf
-    # Each run of consecutive vertices moves down past the gaps below it.
-    runs = []
-    c = 0
-    rem = union
-    while rem:
-        low = rem & -rem
-        run = ((rem + low) & ~rem) - low
-        runs.append((run, low.bit_length() - 1 - c))
-        c += run.bit_count()
-        rem ^= run
+    runs = _runs(union)
     local = []
     for nf in nonfaces:
         m = 0
         for run, shift in runs:
             m |= (nf & run) >> shift
         local.append(m)
-    return c, tuple(sorted(local))
+    return union.bit_count(), tuple(sorted(local))
 
 
 def restriction_homology_poly(nonfaces):
@@ -437,33 +450,35 @@ def restriction_homology_poly(nonfaces):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
 def polarize(I):
-    """Polarized generator supports: (polarized variable count, masks).
+    """Polarized generator supports: (polarized variable count, masks in
+    `sorted_gens()` order, last-copy mask).
 
     Variable v with maximal exponent e_v across generators becomes e_v
-    squarefree copies; exponent e selects the first e copies.  Polarization
-    preserves the graded Betti table, and the support size of a polarized
-    generator equals the original total degree.
+    squarefree copies, consecutive bits from an offset; exponent e selects
+    the first e copies, one shifted run of e ones.  The last-copy mask
+    holds each variable's last copy.  Polarization preserves the graded
+    Betti table, and the support size of a polarized generator equals the
+    original total degree.  Memoized like `power`, so an ideal that both
+    engines and `lcm_lattice` read is polarized once.
     """
     gens = I.sorted_gens()
-    maxexp = [0] * I.nvars
-    for g in gens:
-        for v, e in enumerate(g):
-            if e > maxexp[v]:
-                maxexp[v] = e
-    offsets = [0] * I.nvars
-    total = 0
-    for v in range(I.nvars):
-        offsets[v] = total
-        total += maxexp[v]
+    offsets = []
+    total = last = 0
+    for e in map(max, zip(*gens)):
+        offsets.append(total)
+        total += e
+        if e:
+            last |= 1 << (total - 1)
     masks = []
     for g in gens:
         m = 0
-        for v, e in enumerate(g):
-            for c in range(e):
-                m |= 1 << (offsets[v] + c)
+        for e, offset in zip(g, offsets):
+            if e:
+                m |= ((1 << e) - 1) << offset
         masks.append(m)
-    return total, masks
+    return total, tuple(masks), last
 
 
 def _union_closure(masks, cap, name):
@@ -554,6 +569,57 @@ def lcm_lattice(I):
     return _union_closure(polarize(I)[1], LCM_LATTICE_CAP, "lcm lattice")
 
 
+def _slack_relations(I):
+    """Each element w of the lcm lattice of I with the slack relation of
+    the interval below it, as (w, atoms, rows, k).
+
+    `atoms` masks the indices, in `sorted_gens()` order, of the atoms:
+    the generators dividing w's monomial m.  `rows` lists their slack
+    masks in index order, each over the k variables of supp(m) in
+    variable order, bit j set when the atom's exponent of the j-th
+    variable is below m's.
+
+    Both come from the polarized masks alone, whose copies of each
+    variable form a prefix.  A generator divides m exactly when its mask
+    holds no copy outside w, and one holding a copy of v outside w holds
+    the first such copy.  `contains` lists, for each polarized bit, the
+    generators whose masks hold it, so the non-atoms are the union of
+    `contains` over each variable's first copy missing from w: one OR per
+    variable that w stops short of.  w's top copies are its bits whose
+    successor is outside w or starts the next variable, and an atom's
+    exponent of v is below m_v exactly when v's top copy is missing from
+    its mask.  So its slack row is w's top copies outside its mask,
+    compressed onto them (`_runs`)."""
+    nbits, masks, last = polarize(I)
+    full = (1 << nbits) - 1
+    starts = full & (last << 1 | 1)
+    contains = _transpose(masks, nbits)
+    everyone = (1 << len(masks)) - 1
+    for w in lcm_lattice(I):
+        # A copy outside w is its variable's first missing one when it
+        # starts the variable or follows a copy in w.
+        firsts = full & ~w & (starts | w << 1)
+        out = 0
+        while firsts:
+            low = firsts & -firsts
+            out |= contains[low.bit_length() - 1]
+            firsts ^= low
+        atoms = everyone & ~out
+        tops = w & ~(w >> 1 & ~last)
+        runs = _runs(tops)
+        rows = []
+        rest = atoms
+        while rest:
+            low = rest & -rest
+            slack = tops & ~masks[low.bit_length() - 1]
+            row = 0
+            for run, shift in runs:
+                row |= (slack & run) >> shift
+            rows.append(row)
+            rest ^= low
+        yield w, atoms, rows, tops.bit_count()
+
+
 def _maximal(masks):
     """The inclusion-maximal masks among `masks`, one copy of each."""
     kept = []
@@ -601,15 +667,17 @@ def _dowker_core(rows, ncols):
         rows = _transpose(kept, len(rows))
 
 
-# Criterion 8 (all n <= 6) peaks at 6,886 entries, criterion 1 at 3,468.
+# Each run alone, criterion 8 (all n <= 6) peaks at 2,333 entries and
+# criterion 1 at 1,641.
 @lru_cache(maxsize=1 << 15)
-def _crosscut_ranks(atoms):
-    """Reduced homology of the interval below m = lcm(atoms), from
-    whichever side of a Dowker pair has fewer vertices.
+def _relation_ranks(rows, ncols):
+    """Reduced homology of the interval below a lattice element m, from
+    its slack relation: the sorted distinct row masks `rows` over the
+    `ncols` variables of supp(m).
 
-    The relation is "variable v is slack in atom a" (a_v < m_v); an atom's
-    slack mask is its row.  Its two complexes are homotopy equivalent
-    (Dowker, Ann. of Math. 56, 1952):
+    The relation is "variable v is slack in atom a" (a_v < m_v); an
+    atom's slack mask is its row.  Its two complexes are homotopy
+    equivalent (Dowker, Ann. of Math. 56, 1952):
 
     - the crosscut complex of the interval, vertices the atoms, faces the
       subsets whose lcm is still below m.  A subset's lcm stays below m
@@ -622,46 +690,48 @@ def _crosscut_ranks(atoms):
       masks.  Miller-Sturmfels, Combinatorial Commutative Algebra,
       Thm 1.34: beta_{i,m}(I) = rank H~_{i-1}(K^m(I)).
 
-    The relation is first reduced to its Dowker core (`_dowker_core`):
-    an atom whose slack mask lies inside another's, and a variable whose
-    atoms (those it is slack in) lie inside another variable's, are
-    dominated vertices of one complex and leave the other unchanged.  One
-    enumerator builds either complex of the core: K^m from its rows when
-    the core has fewer variables than atoms, else the nerve from its
-    columns.  No face cap applies: the built side has at most
-    LCM_MAX_GENERATORS vertices.  Neither complex is Hochster's: K^m lives
-    on the unpolarized support of m, and for squarefree m it is the
-    Alexander dual of the restriction Hochster's engine builds.  Keyed on
-    the atoms alone: a lattice element is the lcm of the generators
-    dividing it, so the atoms determine m."""
-    m = tuple(map(max, zip(*atoms)))
-    slack = [
-        sum(1 << v for v, (a, e) in enumerate(zip(atom, m)) if a < e)
-        for atom in atoms
-    ]
-    rows, cols = _dowker_core(slack, len(m))
-    faces = _submask_faces(rows if len(cols) < len(rows) else cols)
-    return reduced_homology_ranks(faces)
+    Equal relations give equal complexes, so the key holds no monomial
+    and hits across intervals and across ideals; equal atoms give equal
+    relations, so it hits wherever a key on the atoms would.  A miss
+    reduces the relation to its Dowker core (`_dowker_core`): an atom
+    whose slack mask lies inside another's, and a variable whose atoms
+    lie inside another variable's, are dominated vertices of one complex
+    and leave the other unchanged.  The core's homology is memoized in
+    turn (`_core_ranks`).  Neither complex is Hochster's: K^m lives on
+    the unpolarized support of m, and for squarefree m it is the
+    Alexander dual of the restriction Hochster's engine builds."""
+    core, cols = _dowker_core(rows, ncols)
+    return _core_ranks(tuple(sorted(core)), len(cols))
+
+
+# Each run alone, criterion 8 peaks at 358 entries and criterion 1 at 69.
+@lru_cache(maxsize=1 << 12)
+def _core_ranks(rows, ncols):
+    """Reduced homology of the Dowker complexes of a core, given by its
+    sorted row masks over `ncols` columns.
+
+    One enumerator builds either complex of the core (`_submask_faces`):
+    K^m from its rows when it has fewer columns than rows, else the nerve
+    from its columns.  No face cap applies: the built side has at most
+    LCM_MAX_GENERATORS vertices."""
+    side = rows if ncols < len(rows) else _transpose(rows, ncols)
+    return reduced_homology_ranks(_submask_faces(side))
 
 
 def betti_table_lcm(I):
-    """Graded Betti table of I via lcm-lattice interval homology.  The
-    atoms of a lattice mask w are the generators whose polarized masks lie
-    inside w, in `sorted_gens()` order; its degree is w's bit count."""
+    """Graded Betti table of I via lcm-lattice interval homology: beta_{i,j}
+    sums the ranks of H~_(i-1) over the intervals below the lattice
+    elements of degree j, w's bit count."""
     _check_ideal(I)
     if len(I.gens) > LCM_MAX_GENERATORS:
         raise CapacityError(
             f"{len(I.gens)} generators exceed the lcm-lattice cap "
             f"{LCM_MAX_GENERATORS}; use the Hochster engine"
         )
-    gens = I.sorted_gens()
-    masks = polarize(I)[1]
     entries = {}
-    for w in lcm_lattice(I):
-        atoms = tuple(g for g, a in zip(gens, masks) if not a & ~w)
-        ranks = _crosscut_ranks(atoms)
+    for w, _, rows, k in _slack_relations(I):
         j = w.bit_count()
-        for d, r in ranks.items():
+        for d, r in _relation_ranks(tuple(sorted(set(rows))), k).items():
             i = d + 1
             entries[(i, j)] = entries.get((i, j), 0) + r
     return BettiTable(entries)

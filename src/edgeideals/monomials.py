@@ -212,6 +212,17 @@ def power(I, s):
     return minimalize(I.nvars, _unpack(prods, I.nvars, w))
 
 
+# As many entries as `power`'s memo: the colons of one cached power share
+# its packed generators.
+@lru_cache(maxsize=128)
+def _packed_gens(I):
+    """(top, w, packed): I's largest exponent, the field width that holds
+    it, and I's generators packed in fields of that width."""
+    top = _largest_exponent(I.gens)
+    w = _width(top)
+    return top, w, tuple(_pack(I.gens, w))
+
+
 def colon_by_monomial(I, m):
     """The quotient ideal (I : m) for a monomial m: the minimal ones among
     the colon quotients of I's generators, each exponent of a generator
@@ -225,15 +236,14 @@ def colon_by_monomial(I, m):
     if I.is_zero or I.is_unit:
         return I
     n = I.nvars
-    top = _largest_exponent(I.gens)
-    w = _width(top)
+    top, w, packed = _packed_gens(I)
     H = _guard(n, w)
     shift, ones = 8 * w - 1, (1 << 8 * w) - 1
     low = H ^ ((1 << 8 * w * n) - 1)
     (mp,) = _pack([[min(e, top) for e in m]], w)
     quotients = {
         (d := (g | H) - mp) & ((d & H) >> shift) * ones & low
-        for g in _pack(I.gens, w)
+        for g in packed
     }
     kept = _antichain(quotients, H)
     return MonomialIdeal(n, frozenset(_unpack(kept, n, w)))

@@ -32,12 +32,19 @@ from edgeideals.generators import (
     complete_graph,
     corona,
     cycle_graph,
+    enumerate_all_graphs,
     path_graph,
     random_graph,
 )
 from edgeideals.graphs import Graph
 from edgeideals.homology import faces_from_nonfaces, reduced_homology_ranks
-from edgeideals.monomials import MonomialIdeal, edge_ideal, minimalize, power
+from edgeideals.monomials import (
+    MonomialIdeal,
+    colon_by_monomial,
+    edge_ideal,
+    minimalize,
+    power,
+)
 from test_homology import fraction_boundary_rank, ranks_without_collapse
 
 
@@ -134,7 +141,7 @@ class TestStructure:
             I = power(I_of(G), 2)
             if I.is_zero:
                 continue
-            npol, masks = polarize(I)
+            npol, masks, _ = polarize(I)
             Ipol = minimalize(
                 npol,
                 [
@@ -225,20 +232,65 @@ class TestIntervals:
         }
         masks = polarize(I)[1]
         image = []
-        for w in lcm_lattice(I):
+        for w, _, rows, k in betti._slack_relations(I):
             under = [g for g, a in zip(gens, masks) if not a & ~w]
             m = tuple(map(max, zip(*under)))
             assert sum(m) == w.bit_count()
             image.append(m)
-        assert len(set(image)) == len(image) and set(image) == lattice
-        # Both routes of _crosscut_ranks against both complexes, built
-        # from their definitions; then the lcm engine against Hochster.
-        for m in lattice:
+            # The ranks the engine reads for the element's relation, both
+            # routes of the memo, against both complexes built from their
+            # definitions.
+            ranks = betti._relation_ranks(tuple(sorted(set(rows))), k)
             atoms = tuple(g for g in gens if all(map(int.__le__, g, m)))
-            ranks = betti._crosscut_ranks(atoms)
             assert ranks == reduced_homology_ranks(crosscut_oracle(atoms, m))
             assert ranks == reduced_homology_ranks(koszul_oracle(gens, m))
+        assert len(set(image)) == len(image) and set(image) == lattice
         assert betti_table_lcm(I) == betti_table_hochster(I)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda s: st.tuples(
+                st.integers(1, 6).flatmap(
+                    lambda n: st.lists(
+                        st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                        min_size=1,
+                        max_size=(6, 4, 3)[s - 1],
+                    ).map(lambda gens: minimalize(n, gens))
+                ),
+                st.just(s),
+            )
+        )
+    )
+    # x1 lies in no generator, so it has no polarized copy.
+    @example((minimalize(3, [(1, 0, 2), (0, 0, 1)]), 2))
+    def test_relations_from_masks_against_divisibility(self, case):
+        # Atoms and slack rows read off the polarized masks against their
+        # definitions on exponents: the atoms of w are the generators
+        # dividing its monomial m, and an atom's row is {v in supp(m) :
+        # g_v < m_v}, over supp(m) in variable order.  Powers repeat each
+        # generator's variables across many products.
+        I = power(*case)
+        gens = I.sorted_gens()
+        n = I.nvars
+        tops = [max(g[v] for g in gens) for v in range(n)]
+        offsets = list(itertools.accumulate([0] + tops))
+        for w, atoms, rows, k in betti._slack_relations(I):
+            m = tuple(
+                (w >> offsets[v] & (1 << tops[v]) - 1).bit_count()
+                for v in range(n)
+            )
+            assert w == sum(((1 << e) - 1) << offsets[v] for v, e in enumerate(m))
+            divisors = [
+                i for i, g in enumerate(gens) if all(map(int.__le__, g, m))
+            ]
+            assert [i for i in range(len(gens)) if atoms >> i & 1] == divisors
+            supp = [v for v in range(n) if m[v]]
+            assert k == len(supp)
+            assert rows == [
+                sum(1 << j for j, v in enumerate(supp) if gens[i][v] < m[v])
+                for i in divisors
+            ]
 
 
 # Relations of 1-8 rows over 1-10 columns, as row masks.
@@ -313,10 +365,16 @@ class TestDowkerCore:
             return submask_faces(masks)
 
         monkeypatch.setattr(betti, "_submask_faces", record)
-        betti._crosscut_ranks.cache_clear()
+        # The memos leave 15 distinct cores for these ideals, so every
+        # element's core is also built past them.
+        betti._relation_ranks.cache_clear()
+        betti._core_ranks.cache_clear()
         for I in (power(I_of(cycle_graph(5)), 2),
                   power(I_of(path_graph(6)), 2), I_of(complete_graph(4))):
             betti_table_lcm(I)
+            for _, _, rows, k in betti._slack_relations(I):
+                core, cols = betti._dowker_core(rows, k)
+                betti._core_ranks.__wrapped__(tuple(sorted(core)), len(cols))
         assert len(seen) > 100
         for masks in seen:
             width = functools.reduce(operator.or_, masks).bit_length()
@@ -330,6 +388,26 @@ class TestDowkerCore:
         # A row inside another goes, then the columns it separated merge.
         assert betti._dowker_core([0b011, 0b001], 2) == ([0b1], [0b1])
         assert betti._dowker_core([0, 0], 3) == ([0], [0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(relations, st.data())
+    def test_relation_memo_ignores_row_order_and_column_labels(
+        self, relation, data
+    ):
+        # The memo's key is the relation, not where it came from: the same
+        # relation with its rows permuted, or its columns relabelled, gets
+        # the ranks of both of its Dowker complexes.
+        ncols, rows = relation
+        perm = data.draw(st.permutations(rows), label="rows")
+        labels = data.draw(st.permutations(range(ncols)), label="cols")
+        relabelled = [
+            sum(1 << labels[c] for c in range(ncols) if r >> c & 1)
+            for r in perm
+        ]
+        for rel in (rows, perm, relabelled):
+            ranks = betti._relation_ranks(tuple(sorted(set(rel))), ncols)
+            assert ranks == reduced_homology_ranks(nerve_of(rel))
+            assert ranks == reduced_homology_ranks(submasks_of(rel, ncols))
 
 
 def minimal_masks(masks):
@@ -944,7 +1022,9 @@ class TestMemos:
     def test_memos_are_bounded_and_count_hits(self):
         for memo in (
             betti.component_homology_poly,
-            betti._crosscut_ranks,
+            betti._relation_ranks,
+            betti._core_ranks,
+            betti.polarize,
             regularity,
         ):
             assert memo.cache_info().maxsize is not None
@@ -953,6 +1033,42 @@ class TestMemos:
         regularity(I)
         regularity(I)
         assert regularity.cache_info().hits == 1
+
+    def test_hochster_reads_no_interval_memo(self):
+        # The engines stay independent: Hochster never reaches the lcm
+        # engine's relation or core memo.
+        betti._relation_ranks.cache_clear()
+        betti._core_ranks.cache_clear()
+        betti_table_hochster(power(I_of(cycle_graph(5)), 2))
+        for memo in (betti._relation_ranks, betti._core_ranks):
+            info = memo.cache_info()
+            assert (info.hits, info.misses) == (0, 0)
+
+    def test_tables_do_not_depend_on_memo_order(self):
+        # Every lcm table of a criterion-8 corpus (I, I^2 and each (I^2 :
+        # e) of every graph on at most 6 vertices), computed again in
+        # reverse order from cleared memos.
+        ideals = []
+        for n in range(2, 7):
+            for G in enumerate_all_graphs(n):
+                I = I_of(G)
+                I2 = power(I, 2)
+                ideals += [I, I2]
+                ideals += [colon_by_monomial(I2, e) for e in I.sorted_gens()]
+
+        def tables(order):
+            out = {}
+            for I in order:
+                try:
+                    out[I] = betti_table_lcm(I).rows()
+                except CapacityError as exc:
+                    out[I] = str(exc)
+            return out
+
+        forward = tables(ideals)
+        betti._relation_ranks.cache_clear()
+        betti._core_ranks.cache_clear()
+        assert tables(reversed(ideals)) == forward
 
 
 class TestCaps:
