@@ -280,7 +280,9 @@ class TestIntervals:
                 (w >> offsets[v] & (1 << tops[v]) - 1).bit_count()
                 for v in range(n)
             )
-            assert w == sum(((1 << e) - 1) << offsets[v] for v, e in enumerate(m))
+            assert w == sum(
+                ((1 << e) - 1) << offsets[v] for v, e in enumerate(m)
+            )
             divisors = [
                 i for i, g in enumerate(gens) if all(map(int.__le__, g, m))
             ]
