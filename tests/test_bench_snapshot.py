@@ -30,15 +30,15 @@ def test_every_workload_untraced_and_traced(tmp_path):
     git(tmp_path, "commit", "-q", "-m", "bench")
     calls = []
 
-    def runner(checkout, command, workload, seed, seconds, trace):
-        calls.append((checkout, command, workload, seed, seconds, trace))
+    def runner(checkout, command, workload, seconds, trace):
+        calls.append((checkout, command, workload, seconds, trace))
         out = {"correct": True, "attempted": 2, "failed": 0,
                "metrics": {"wall_s": {"value": trace + 0.5, "unit": "s"}}}
         return [f"{workload} summary"], out
 
-    snap = bench_snapshot.snapshot(tmp_path, 3, None, runner)
+    snap = bench_snapshot.snapshot(tmp_path, runner)
     assert calls == [
-        (tmp_path, bench["command"], name, 3, 20, trace)
+        (tmp_path, bench["command"], name, 20, trace)
         for name in ("a", "b") for trace in (0, 1)
     ]
     assert snap["workloads"]["b"]["trace1"] == {
@@ -50,6 +50,6 @@ def test_every_workload_untraced_and_traced(tmp_path):
     assert bench_snapshot.file_name(snap) == (
         f"BENCH_{snap['date'][:10]}_{head[:7]}.json")
     (tmp_path / "untracked").write_text("")
-    snap = bench_snapshot.snapshot(tmp_path, 3, 5.0, runner)
-    assert snap["dirty"] and snap["seconds"] == 5.0
+    snap = bench_snapshot.snapshot(tmp_path, runner)
+    assert snap["dirty"] and (snap["seed"], snap["seconds"]) == (1, 20)
     assert bench_snapshot.file_name(snap).endswith(f"{head[:7]}-dirty.json")

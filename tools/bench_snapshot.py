@@ -1,17 +1,16 @@
 """Snapshot every benchmark workload into one BENCH_*.json file.
 
-    python3 tools/bench_snapshot.py [--checkout DIR] [--seed N]
-                                    [--seconds S] [--out-dir DIR]
+    python3 tools/bench_snapshot.py [--checkout DIR]
 
 Runs each workload that the checkout's BENCHMARK.json declares through
-the declared command (`perfbench/run.py`), from the checkout's root, once
-with --trace 0 for the end-to-end metrics and once with --trace 1 for the
-per-layer metrics.  Writes BENCH_<date>_<commit>.json into the output
-directory (default `bench/` beside this script's `tools/`), holding every
-metric with its unit, each run's correctness counts and printed lines
-(a traced run names any function it could not trace), the host name,
-`os.cpu_count()`, the Python version and the checkout's commit, marked
-dirty when the checkout has uncommitted changes.
+the declared command (`perfbench/run.py`), from the checkout's root, with
+seed 1 and BENCHMARK.json's run_seconds, once with --trace 0 for the
+end-to-end metrics and once with --trace 1 for the per-layer metrics.
+Writes BENCH_<date>_<commit>.json into this repository's `bench/`,
+holding every metric with its unit, each run's correctness counts and
+printed lines (a traced run names any function it could not trace), the
+host name, `os.cpu_count()`, the Python version and the checkout's
+commit, marked dirty when the checkout has uncommitted changes.
 
 The checkout defaults to this repository; point --checkout at a clone of
 another commit to snapshot it with the same settings.  Compare snapshots
@@ -31,6 +30,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
 def git(checkout, *args):
@@ -41,11 +41,11 @@ def git(checkout, *args):
     ).stdout.strip()
 
 
-def run_workload(checkout, command, workload, seed, seconds, trace):
+def run_workload(checkout, command, workload, seconds, trace):
     """One benchmark invocation: (its output lines before the last, the
     last line parsed as JSON)."""
     proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed),
+        [*command, "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, timeout=600,
     )
@@ -57,19 +57,19 @@ def run_workload(checkout, command, workload, seed, seconds, trace):
     return lines[:-1], json.loads(lines[-1])
 
 
-def snapshot(checkout, seed, seconds, runner=run_workload):
+def snapshot(checkout, runner=run_workload):
     """Every workload of the checkout's BENCHMARK.json, untraced and
     traced, with the host and the commit."""
     with open(Path(checkout) / "BENCHMARK.json") as fh:
         bench = json.load(fh)
-    seconds = bench["run_seconds"] if seconds is None else seconds
+    seconds = bench["run_seconds"]
     runs = {}
     for spec in bench["workloads"]:
         name = spec["name"]
         runs[name] = {}
         for trace in (0, 1):
-            log, out = runner(checkout, bench["command"], name, seed,
-                              seconds, trace)
+            log, out = runner(checkout, bench["command"], name, seconds,
+                              trace)
             runs[name][f"trace{trace}"] = {
                 "log": log,
                 "correct": out["correct"],
@@ -86,7 +86,7 @@ def snapshot(checkout, seed, seconds, runner=run_workload):
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "command": bench["command"],
-        "seed": seed,
+        "seed": SEED,
         "seconds": seconds,
         "workloads": runs,
     }
@@ -106,19 +106,15 @@ def main(argv=None):
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="root of the checkout to benchmark (default: this "
                          "repository)")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: BENCHMARK.json's "
-                         "run_seconds)")
-    ap.add_argument("--out-dir", type=Path, default=ROOT / "bench")
     args = ap.parse_args(argv)
 
     if not (args.checkout / "BENCHMARK.json").is_file():
         print(f"no BENCHMARK.json under {args.checkout}", file=sys.stderr)
         return 2
-    snap = snapshot(args.checkout.resolve(), args.seed, args.seconds)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    path = args.out_dir / file_name(snap)
+    snap = snapshot(args.checkout.resolve())
+    out_dir = ROOT / "bench"
+    out_dir.mkdir(exist_ok=True)
+    path = out_dir / file_name(snap)
     with open(path, "w") as fh:
         json.dump(snap, fh, indent=1, sort_keys=True)
         fh.write("\n")
