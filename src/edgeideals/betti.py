@@ -39,20 +39,20 @@ Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
 Stanley-Reisner complex.  Only subsets that are unions of minimal nonfaces
 can carry homology (anything else restricts to a cone), so the sweep runs
-over the union closure of the generator supports.  Restrictions decompose
-as joins over connected components of their nonfaces, and component
-homology is memoized globally.  Every component, whatever its size, is
+over the union closure of the generator supports and looks each
+restriction up, relabelled onto its own bits, in one global memo.  A miss
+splits it into the components of its nonfaces, a join.  Each component is
 first reduced from its nonface list, without listing a face: when the
 deletion of some vertex is a cone, its polynomial is t times the link's;
-when the link is a cone, it is the deletion's.  The pieces recurse
-through the same memo.  Only a component where no vertex qualifies has its
-faces enumerated, on whichever of its complex and its Alexander dual has
-fewer (the two have 2^c between them, and an exact face count of the
-complex, stopped at half, picks the side).  The lcm engine reduces by
-strong collapses on its own relation, a different theorem on a different
-complex from deletion and link, and still enumerates the faces of the
-core's complex, so wherever both engines answer, the reductions are
-checked against an independent route.
+when the link is a cone, it is the deletion's.  Links are built directly
+(`_link`), and the pieces recurse through the same memo.  Only a
+component where no vertex qualifies has its faces enumerated, on
+whichever of its complex and its Alexander dual has fewer (the two have
+2^c between them, and an exact face count of the complex, stopped at
+half, picks the side).  The lcm engine reduces by strong collapses on its
+own relation, a different theorem on a different complex from deletion
+and link, and still enumerates the faces of the core's complex, so
+wherever both engines answer, the reductions are checked independently.
 
 Hochster decides capacity once, on the components of the full support,
 before the union closure is built.  HOCHSTER_MAX_VARS bounds a
@@ -63,9 +63,9 @@ HOMOLOGY_FACE_CAP is a certified test, not an enumeration bound: a
 component is over it only where both the nerve of its dual's facets and
 the complex itself are certified over the cap (`_over_face_cap`).  Both
 certified counts, and the vertex count, only shrink under deletion, link
-and splitting into components, and every restriction is a deletion of
-the full support, so once the full support passes, no component that the
-sweep or a reduction reaches could fail either test.
+and splitting, and a connected piece of a restriction is a deletion of
+one full-support component, so no connected piece, the only kind reduced
+or enumerated, could fail a test those components pass.
 
 Tables are indexed on the ideal I, not R/I: reg(I) = reg(R/I) + 1.
 Everything is over the rationals via exact integer ranks.
@@ -75,13 +75,14 @@ CapacityError rather than degrade silently.  `betti_table` runs each
 requested engine that fits its limits and requires the tables to agree
 when two answer.
 
-The component, relation, core, polarization and regularity memos are
+The restriction, relation, core, polarization and regularity memos are
 bounded `lru_cache`s, so their hits are readable from `cache_info()`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from . import monomials as mon
 from .homology import faces_from_nonfaces, reduced_homology_ranks
@@ -177,9 +178,9 @@ def _check_ideal(I):
 
 # ---------------------------------------------------------------------------
 # Homology polynomials of complexes-with-nonfaces, and the submask face
-# enumerator shared by both engines: the lcm engine runs `_submask_faces`
-# on the rows or the columns of an interval's Dowker core, Hochster on the
-# nonface complements of a component (its Alexander dual).
+# enumerator and mask helpers shared by both engines: the lcm engine runs
+# `_submask_faces` on the rows or columns of an interval's Dowker core,
+# Hochster on the nonface complements of a component (its Alexander dual).
 #
 # A complex is encoded as P(t) = sum_d rank(H~_d) * t^(d+1), so that the
 # join of two complexes has polynomial P1 * P2 and a contractible factor
@@ -223,6 +224,33 @@ def _submask_faces(masks):
     return list(faces)
 
 
+def _runs(mask):
+    """The runs of consecutive set bits of `mask`, each with the shift
+    that moves it down past the clear bits below it, so OR-ing
+    (x & run) >> shift over the runs compresses x onto mask's bits."""
+    runs = []
+    c = 0
+    while mask:
+        low = mask & -mask
+        run = ((mask + low) & ~mask) - low
+        runs.append((run, low.bit_length() - 1 - c))
+        c += run.bit_count()
+        mask ^= run
+    return runs
+
+
+def _transpose(rows, ncols):
+    """Column masks over the rows of a relation given by its row masks,
+    visiting only each row's set bits."""
+    cols = [0] * ncols
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return cols
+
+
 def _enumerated_component_poly(nvertices, nonfaces):
     """Homology polynomial of a component that no deletion or link
     reduces, from the faces of whichever of the complex and its Alexander
@@ -241,19 +269,24 @@ def _enumerated_component_poly(nvertices, nonfaces):
         return _ranks_to_poly(reduced_homology_ranks(faces))
     full = (1 << nvertices) - 1
     dual = _submask_faces([full ^ nf for nf in nonfaces])
-    dual_ranks = reduced_homology_ranks(dual)
-    return _ranks_to_poly(
-        {nvertices - 3 - d: r for d, r in dual_ranks.items()}
-    )
+    ranks = reduced_homology_ranks(dual)
+    return _ranks_to_poly({nvertices - 3 - d: r for d, r in ranks.items()})
 
 
-def _minimal(masks):
-    """The inclusion-minimal masks among `masks`."""
-    kept = []
-    for m in sorted(set(masks), key=int.bit_count):
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
+def _link(nonfaces, bit):
+    """The minimal nonfaces of lk(v), v the vertex `bit`, from those of
+    the complex, an antichain: each nonface through v less v, which stay an
+    antichain, and each nonface avoiding v that holds none of them."""
+    through = [nf ^ bit for nf in nonfaces if nf & bit]
+    link = through[:]
+    for nf in nonfaces:
+        if not nf & bit:
+            for t in through:
+                if t & nf == t:
+                    break
+            else:
+                link.append(nf)
+    return link
 
 
 def _face_count(nvertices, nonfaces, cap):
@@ -273,9 +306,7 @@ def _face_count(nvertices, nonfaces, cap):
 def _count_faces(ground, nfs, memo, cap):
     """`_face_count` on the vertex mask `ground`, saturating at cap + 1,
     with the counts of the nonface lists seen so far in `memo`."""
-    cover = 0
-    for nf in nfs:
-        cover |= nf
+    cover = reduce(or_, nfs, 0)
     key = tuple(sorted(nfs))
     got = memo.get(key)
     if got is None:
@@ -288,9 +319,7 @@ def _count_faces(ground, nfs, memo, cap):
                 rest, [nf for nf in nfs if not nf & bit], memo, cap
             )
             if got <= cap and bit not in nfs:
-                got += _count_faces(
-                    rest, _minimal([nf & ~bit for nf in nfs]), memo, cap
-                )
+                got += _count_faces(rest, _link(nfs, bit), memo, cap)
             got = min(got, cap + 1)
         memo[key] = got
     return min(got << (ground & ~cover).bit_count(), cap + 1)
@@ -302,22 +331,20 @@ def _reduced_complex_poly(ground, nonfaces):
 
     A one-vertex nonface drops its vertex; then an empty ground set is
     {empty face}, (1,), and a vertex in no nonface is a cone apex, ().
-    Otherwise the complex is the join of its nonface components, each
-    computed through the memoized `component_homology_poly`."""
-    rest = []
+    Otherwise the other nonfaces cover the ground set exactly, and the
+    complex is relabelled onto it and looked up (`component_homology_poly`)."""
+    rest, covered = [], 0
     for nf in nonfaces:
         if nf & (nf - 1):
             rest.append(nf)
+            covered |= nf
         else:
             ground &= ~nf
     if not ground:
         return (1,)
-    covered = 0
-    for nf in rest:
-        covered |= nf
     if ground & ~covered:
         return ()
-    return restriction_homology_poly(tuple(rest))
+    return component_homology_poly(*_localize(rest, ground))
 
 
 def _reduce_by_vertex(nvertices, nonfaces):
@@ -328,7 +355,7 @@ def _reduce_by_vertex(nvertices, nonfaces):
     lk(v); Mayer-Vietoris gives two rules (Barmak-Minian, Strong homotopy
     types, nerves and collapses, DCG 47, 2012; Jonsson, Simplicial
     Complexes of Graphs, LNM 1928).  del(v) keeps the nonfaces avoiding v;
-    lk(v) keeps the minimal elements of {N - v}.
+    lk(v) keeps the minimal elements of {N - v} (`_link`).
 
     - Rule 2: some u != v lies in no nonface avoiding v.  Then del(v) is a
       cone on u and H~_d(complex) = H~_(d-1)(lk v): t * P(lk v).
@@ -342,37 +369,40 @@ def _reduce_by_vertex(nvertices, nonfaces):
             if not nf & bit:
                 covered |= nf
         if full & ~bit & ~covered:
-            link = _minimal([nf & ~bit for nf in nonfaces])
-            poly = _reduced_complex_poly(full & ~bit, link)
+            poly = _reduced_complex_poly(full & ~bit, _link(nonfaces, bit))
             return (0,) + poly if poly else ()
     for v in range(nvertices):
         bit = 1 << v
-        link = _minimal([nf & ~bit for nf in nonfaces])
-        covered = 0
-        for nf in link:
-            covered |= nf
-        if full & ~bit & ~covered:
+        if full & ~bit & ~reduce(or_, _link(nonfaces, bit), 0):
             return _reduced_complex_poly(
                 full & ~bit, [nf for nf in nonfaces if not nf & bit]
             )
     return None
 
 
-# Components and the pieces the reductions leave share this memo.
-# Each run alone, criterion 8 (all n <= 6) peaks at 14,229 entries and
-# criterion 1 at 15,508.
+# Restrictions and the pieces reductions leave share this memo.  Each run
+# alone, criterion 8 (all n <= 6) peaks at 14,358 entries, criterion 1 at
+# 15,879.
 @lru_cache(maxsize=1 << 15)
 def component_homology_poly(nvertices, nonfaces):
     """Homology polynomial of the complex on 0..nvertices-1 with the given
-    minimal nonfaces, every vertex lying in at least one nonface.
+    sorted minimal nonfaces, connected or not, each vertex in some nonface.
 
-    One deletion or link reduces the component to smaller ones, memoized
-    here too, when some vertex qualifies (`_reduce_by_vertex`); otherwise
-    its faces, or its Alexander dual's, are enumerated
-    (`_enumerated_component_poly`).  No capacity limit applies here:
-    `betti_table_hochster` decides capacity on the full support before any
-    component is computed.
-    """
+    A miss splits it into its nonface components, a join, each relabelled
+    (`_localize`) and looked up here.  One component is reduced by one
+    deletion or link when some vertex qualifies (`_reduce_by_vertex`), its
+    pieces looked up here too; otherwise its faces, or its Alexander
+    dual's, are enumerated (`_enumerated_component_poly`).  No capacity
+    limit applies: `betti_table_hochster` decides it on the full support."""
+    comps = _split_components(nonfaces)
+    if len(comps) > 1:
+        poly = (1,)  # neutral for the join product
+        for comp in comps:
+            p = component_homology_poly(*_localize(comp))
+            if not p:
+                return ()
+            poly = _poly_mul(poly, p)
+        return poly
     poly = _reduce_by_vertex(nvertices, nonfaces)
     if poly is None:
         poly = _enumerated_component_poly(nvertices, nonfaces)
@@ -380,69 +410,52 @@ def component_homology_poly(nvertices, nonfaces):
 
 
 def _split_components(nonfaces):
-    """Group nonface masks into connected components (shared vertices):
-    each grows from the first nonface not yet grouped until its vertex
-    cover stops growing.  Components come in the order of their first
-    nonface, each in input order."""
-    comps = []
-    rest = nonfaces
-    while rest:
-        cover = rest[0]
-        while True:
-            comp = [nf for nf in rest if nf & cover]
-            grown = 0
-            for nf in comp:
-                grown |= nf
-            if grown == cover:
-                break
-            cover = grown
-        comps.append(comp)
-        rest = [nf for nf in rest if not nf & cover]
-    return comps
+    """Group nonface masks into connected components (shared vertices) in
+    one pass: a nonface meeting no earlier one opens a group, else the
+    groups it meets, searched newest first until its shared vertices are
+    all found, merge into the oldest.  Components come in the order of
+    their first nonface, each in input order."""
+    covers, members = [], []
+    seen = 0
+    for i, nf in enumerate(nonfaces):
+        shared = nf & seen
+        seen |= nf
+        if not shared:
+            covers.append(nf)
+            members.append([i])
+            continue
+        g = len(covers) - 1
+        while not covers[g] & shared:
+            g -= 1
+        shared &= ~covers[g]
+        covers[g] |= nf
+        members[g].append(i)
+        h = g
+        while shared:
+            h -= 1
+            if covers[h] & shared:
+                shared &= ~covers[h]
+                covers[h] |= covers.pop(g)
+                members[h] += members.pop(g)
+                g = h
+    if len(members) == 1:
+        return [list(nonfaces)]
+    return [[nonfaces[i] for i in sorted(m)] for m in members]
 
 
-def _runs(mask):
-    """The runs of consecutive set bits of `mask`, each with the shift
-    that moves it down past the clear bits below it, so OR-ing
-    (x & run) >> shift over the runs compresses x onto mask's bits."""
-    runs = []
-    c = 0
-    while mask:
-        low = mask & -mask
-        run = ((mask + low) & ~mask) - low
-        runs.append((run, low.bit_length() - 1 - c))
-        c += run.bit_count()
-        mask ^= run
-    return runs
-
-
-def _localize(nonfaces):
-    """Relabel the vertices of a nonface group to 0..c-1; returns (c, masks)."""
-    union = 0
-    for nf in nonfaces:
-        union |= nf
-    runs = _runs(union)
+def _localize(nonfaces, support=None):
+    """Relabel the bits of `support`, by default the union of a nonface
+    group, onto 0..c-1; returns (c, the group's sorted masks)."""
+    if support is None:
+        support = reduce(or_, nonfaces, 0)
+    runs = _runs(support)
     local = []
     for nf in nonfaces:
         m = 0
         for run, shift in runs:
             m |= (nf & run) >> shift
         local.append(m)
-    return union.bit_count(), tuple(sorted(local))
-
-
-def restriction_homology_poly(nonfaces):
-    """Homology polynomial of the complex whose minimal nonfaces are the
-    given masks, on exactly the vertices those masks cover; factors over
-    connected components (joins multiply homology polynomials)."""
-    poly = (1,)  # neutral for the join product
-    for comp in _split_components(nonfaces):
-        c, local = _localize(comp)
-        p = component_homology_poly(c, local)
-        if not p:
-            return ()
-        poly = _poly_mul(poly, p)
-    return poly
+    return support.bit_count(), tuple(sorted(local))
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +519,14 @@ def _over_face_cap(nvertices, nonfaces, cap):
     """Whether the component on 0..nvertices-1 with the given minimal
     nonfaces is certified over `cap` nonempty faces on both routes: the
     nerve of its dual's facets, since the t facets through the busiest
-    vertex (the nonfaces avoiding it) span a simplex of 2^t - 1 faces, and
-    the complex, by its exact face count (`_face_count`).  Never when its
-    2^c - 1 possible nonempty faces fit the cap."""
+    vertex (the nonfaces avoiding it, all but the fewest any one column
+    of the relation holds) span a simplex of 2^t - 1 faces, and the
+    complex, by its face count (`_face_count`).  Never when its 2^c - 1
+    possible nonempty faces fit the cap."""
     if (1 << nvertices) - 1 <= cap:
         return False
-    busiest = max(
-        sum(not nf >> v & 1 for nf in nonfaces) for v in range(nvertices)
-    )
+    cols = _transpose(nonfaces, nvertices)
+    busiest = len(nonfaces) - min(map(int.bit_count, cols))
     # The empty face is counted too, so the nonempty ones fit the cap
     # exactly when the count is at most cap + 1.
     return (1 << busiest) - 1 > cap and (
@@ -546,19 +559,15 @@ def betti_table_hochster(I):
     unions = _union_closure(nonfaces, HOCHSTER_UNION_CAP, "union closure")
     entries = {}
     for w in unions:
-        nfs = tuple(nf for nf in nonfaces if not (nf & ~w))
-        poly = restriction_homology_poly(nfs)
+        # The nonfaces inside w cover exactly its bits: w is their union.
+        inside = [nf for nf in nonfaces if not nf & ~w]
+        poly = component_homology_poly(*_localize(inside, w))
         if not poly:
             continue
         j = w.bit_count()
         for e, r in enumerate(poly):
-            if not r:
-                continue
-            d = e - 1
-            i = j - d - 2
-            if i < 0:
-                raise AssertionError("negative homological degree")
-            entries[(i, j)] = entries.get((i, j), 0) + r
+            if r:  # rank of H~_(e-1) of the restriction to w
+                entries[(j - e - 1, j)] = entries.get((j - e - 1, j), 0) + r
     return BettiTable(entries)
 
 
@@ -634,18 +643,6 @@ def _maximal(masks):
         else:
             kept.append(m)
     return kept
-
-
-def _transpose(rows, ncols):
-    """Column masks over the rows of a relation given by its row masks,
-    visiting only each row's set bits."""
-    cols = [0] * ncols
-    for i, r in enumerate(rows):
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    return cols
 
 
 def _dowker_core(rows, ncols):

@@ -416,6 +416,16 @@ def minimal_masks(masks):
     return [m for m in masks if not any(o != m and o & m == o for o in masks)]
 
 
+def minimal_oracle(masks):
+    """The inclusion-minimal masks among `masks`, one copy of each, by
+    size: the minimalization that `betti._link` replaces."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
 # Antichains of nonfaces relabelled onto the 1-10 vertices they cover.
 covering_antichains = st.integers(1, 10).flatmap(
     lambda n: st.sets(st.integers(1, (1 << n) - 1), min_size=1, max_size=8)
@@ -518,8 +528,12 @@ class TestReductions:
         assert reduced(0b110, [0b010, 0b100]) == (1,)
         assert reduced(0b111, [0b001, 0b110]) == (0, 1)
         assert reduced(0b111, [0b011]) == ()
-        # The link keeps only minimal nonfaces: {0} absorbs {0, 1}.
-        assert betti._minimal([0b11, 0b01, 0b110, 0b01]) == [0b01, 0b110]
+        # The link keeps only minimal nonfaces: {0}, left of {0, 2} at
+        # vertex 2, absorbs {0, 1}, while {1, 3} stays.
+        assert betti._link([0b0011, 0b0101, 0b1010], 0b0100) == [
+            0b0001,
+            0b1010,
+        ]
 
     def test_reduced_components_enumerate_no_faces(self, monkeypatch):
         calls = []
@@ -553,6 +567,20 @@ antichains = st.integers(1, 14).flatmap(
         ),
     )
 )
+
+
+class TestLink:
+    @settings(max_examples=300, deadline=None)
+    @given(antichains)
+    @example((3, (0b001, 0b110)))  # a one-vertex nonface: lk(0) is void
+    def test_against_minimalizing_every_vertex(self, case):
+        n, nonfaces = case
+        for v in range(n):
+            link = betti._link(nonfaces, 1 << v)
+            assert len(set(link)) == len(link)
+            assert set(link) == set(
+                minimal_oracle([nf & ~(1 << v) for nf in nonfaces])
+            )
 
 
 class TestFaceCount:
@@ -847,6 +875,81 @@ class TestHochsterSweep:
             sum(1 << pos[v] for v in verts if m >> v & 1) for m in masks
         ))
         assert betti._localize(masks) == (len(verts), local)
+
+    def test_only_connected_pieces_are_reduced_or_enumerated(
+        self, monkeypatch
+    ):
+        # The memo is keyed on whole restrictions, connected or not, but
+        # splits a disconnected one before anything else: every nonface
+        # list reduced or enumerated is connected, so the face certificate
+        # of the full support's components covers it.  A restriction that
+        # spans two full-support components, such as the whole support,
+        # is answered as the join of its components, and every table the
+        # lcm engine answers equals its.
+        pieces, joins = [], {}
+        memo = betti.component_homology_poly
+
+        def record_piece(fn):
+            def record(nvertices, nonfaces):
+                pieces.append(nonfaces)
+                return fn(nvertices, nonfaces)
+
+            return record
+
+        def record_join(nvertices, nonfaces):
+            poly = memo(nvertices, nonfaces)
+            if len(betti._split_components(nonfaces)) > 1:
+                joins[nvertices, nonfaces] = poly
+            return poly
+
+        for name in ("_reduce_by_vertex", "_enumerated_component_poly"):
+            monkeypatch.setattr(betti, name, record_piece(getattr(betti, name)))
+        monkeypatch.setattr(betti, "component_homology_poly", record_join)
+
+        def disjoint_sum(I, J):
+            pad_i, pad_j = (0,) * J.nvars, (0,) * I.nvars
+            return minimalize(
+                I.nvars + J.nvars,
+                [g + pad_i for g in I.gens] + [pad_j + h for h in J.gens],
+            )
+
+        def random_power(n, p):
+            G = random_graph(n, p, seed=rng.randint(0, 99))
+            return power(I_of(G), rng.randint(1, 2))
+
+        rng = random.Random(22)
+        ideals = [minimalize(4, [(1, 1, 0, 0), (0, 0, 1, 1)])]
+        for _ in range(12):
+            ideals.append(random_power(5, 0.5))
+            ideals.append(
+                disjoint_sum(random_power(3, 0.9), random_power(4, 0.7))
+            )
+        spanning = 0
+        for I in ideals:
+            if I.is_zero:
+                continue
+            masks = polarize(I)[1]
+            full = betti._split_components(masks)
+            memo.cache_clear()
+            pieces.clear()
+            joins.clear()
+            table = betti_table_hochster(I)
+            if len(I.gens) <= betti.LCM_MAX_GENERATORS:
+                assert table == betti_table_lcm(I)
+            assert pieces
+            for nonfaces in pieces:
+                assert len(betti._split_components(nonfaces)) == 1
+            if len(full) > 1:
+                product = functools.reduce(
+                    betti._poly_mul,
+                    (memo(*betti._localize(comp)) for comp in full),
+                )
+                assert joins[betti._localize(masks)] == product
+                spanning += 1
+        assert spanning >= 10
+        # (x0 x1, x2 x3): the Koszul syzygy beta_{1,4} is the restriction
+        # to all four vertices, the join of two one-nonface components.
+        assert betti_table_hochster(ideals[0]).entries == {(0, 2): 2, (1, 4): 1}
 
     def test_cap_trip_names_the_full_support(self):
         # corona(C5)^2 polarizes to 20 variables in one component, over
