@@ -4,9 +4,9 @@ ideals, by two engines that validate each other.
 Both engines sum over the lcm lattice.  Polarization maps it one to one
 onto the unions of the polarized generator masks: a union is the lcm's
 polarization, a generator divides m exactly when its mask lies inside
-m's, and a mask's bit count is the degree.  So `_union_closure` lists the
-lattice for both engines, which also share the homology kernel and
-`_submask_faces`; each computes an element's homology by its own route.
+m's, and a mask's bit count is the degree.  So both engines read one
+lattice, `lcm_lattice`, built once per ideal, and share the homology kernel
+and `_submask_faces`; each computes an element's homology by its own route.
 
 Engine 1 (lcm lattice): each graded Betti number of the ideal is the
 reduced homology rank, one dimension down, of the open interval below a
@@ -39,7 +39,7 @@ Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
 Stanley-Reisner complex.  Only subsets that are unions of minimal nonfaces
 can carry homology (anything else restricts to a cone), so the sweep runs
-over the union closure of the generator supports and looks each
+over the lcm lattice, the unions of the generator supports, and looks each
 restriction up, relabelled onto its own bits, in one global memo.  A miss
 splits it into the components of its nonfaces, a join.  Each component is
 first reduced from its nonface list, without listing a face: when the
@@ -55,7 +55,7 @@ and link, and still enumerates the faces of the core's complex, so
 wherever both engines answer, the reductions are checked independently.
 
 Hochster decides capacity once, on the components of the full support,
-before the union closure is built.  HOCHSTER_MAX_VARS bounds a
+before it reads the lattice.  HOCHSTER_MAX_VARS bounds a
 component's vertices, and with them the depth of the reductions and of
 the face count, one level per vertex, and the side that
 `_enumerated_component_poly` builds, at most 2^(c-1) faces.
@@ -75,8 +75,8 @@ CapacityError rather than degrade silently.  `betti_table` runs each
 requested engine that fits its limits and requires the tables to agree
 when two answer.
 
-The restriction, relation, core, polarization and regularity memos are
-bounded `lru_cache`s, so their hits are readable from `cache_info()`.
+The restriction, relation, core, polarization, lattice and regularity
+memos are bounded `lru_cache`s; `cache_info()` reads their hits.
 """
 
 from __future__ import annotations
@@ -106,12 +106,12 @@ class EngineDisagreement(RuntimeError):
         )
 
 
-# Capacity limits, read at call time.  No lcm face cap is needed: the side
-# built has at most LCM_MAX_GENERATORS vertices, so at most 2^16 - 1 faces.
+# Capacity limits, read at call time, LATTICE_CAP when a lattice is built.
+# LCM_MAX_GENERATORS alone bounds the lcm engine: at 16 generators, at most
+# 2^16 - 1 = 65,535 faces on the side it builds and elements in its lattice.
 LCM_MAX_GENERATORS = 16
-LCM_LATTICE_CAP = 5000
+LATTICE_CAP = 80000  # both engines' lattice; keeps every Hochster decision
 HOCHSTER_MAX_VARS = 24  # per component of the full support
-HOCHSTER_UNION_CAP = 80000
 HOMOLOGY_FACE_CAP = 30000
 
 
@@ -459,14 +459,14 @@ def _localize(nonfaces, support=None):
 
 
 # ---------------------------------------------------------------------------
-# Engine 2: polarization + Hochster sweep; `_union_closure` serves both.
+# Engine 2: polarization + Hochster sweep, over the lattice both engines read.
 # ---------------------------------------------------------------------------
 
 
 # Every repeat call reads the ideal just polarized: one `betti_table`
 # call reaches it from `_slack_relations`, `lcm_lattice` and Hochster.
-# Seed-1 benchmark passes: 428 hits of 691 calls on `banerjee_small`,
-# 98 of 187 on `vwc_main_theorem`, and a larger cache hits no more.
+# Seed-1 benchmark passes: 477 hits of 740 calls on `banerjee_small`,
+# 101 of 190 on `vwc_main_theorem`, and a larger cache hits no more.
 @lru_cache(maxsize=1)
 def polarize(I):
     """Polarized generator supports: (polarized variable count, masks in
@@ -498,21 +498,27 @@ def polarize(I):
     return total, tuple(masks), last
 
 
-def _union_closure(masks, cap, name):
+def _union_closure(masks):
     """The unions of every nonempty subset of `masks`, one mask at a time:
     after each mask the set holds every union of the masks so far.
 
-    Raises CapacityError, naming the closure `name`, exactly when it has
-    more than `cap` elements.  The masks themselves count toward the cap
-    like every other union, and the set only grows, so checking after each
-    mask suffices."""
+    CapacityError exactly when it has more than LATTICE_CAP elements: the
+    masks count like every other union, and the set only grows."""
     seen = set()
     for nf in masks:
         seen |= {w | nf for w in seen}
         seen.add(nf)
-        if len(seen) > cap:
-            raise CapacityError(f"{name} exceeded the cap {cap}")
+        if len(seen) > LATTICE_CAP:
+            raise CapacityError(f"lcm lattice exceeded the cap {LATTICE_CAP}")
     return seen
+
+
+@lru_cache(maxsize=1)
+def lcm_lattice(I):
+    """The lcm lattice of I as polarized masks, their union closure.
+    Memoized on the last ideal, so both engines of one `betti_table` call
+    read one build, a frozenset since every caller gets the same object."""
+    return frozenset(_union_closure(polarize(I)[1]))
 
 
 def _over_face_cap(nvertices, nonfaces, cap):
@@ -537,10 +543,10 @@ def _over_face_cap(nvertices, nonfaces, cap):
 def betti_table_hochster(I):
     """Graded Betti table of I via polarization and restriction homology.
 
-    CapacityError, before the union closure is built, at the first
-    component of the full support with more than HOCHSTER_MAX_VARS
-    vertices or over HOMOLOGY_FACE_CAP (`_over_face_cap`), so an ideal
-    also over the union cap reports the component.
+    CapacityError, before the lattice is read, at the first component
+    of the full support with more than HOCHSTER_MAX_VARS vertices or over
+    HOMOLOGY_FACE_CAP (`_over_face_cap`), so an ideal also over the
+    lattice cap reports the component.
     """
     _check_ideal(I)
     nonfaces = polarize(I)[1]
@@ -556,9 +562,8 @@ def betti_table_hochster(I):
                 f"restricted complex on {c} vertices exceeded the face cap "
                 f"{cap} on both the primal and the dual-nerve route"
             )
-    unions = _union_closure(nonfaces, HOCHSTER_UNION_CAP, "union closure")
     entries = {}
-    for w in unions:
+    for w in lcm_lattice(I):
         # The nonfaces inside w cover exactly its bits: w is their union.
         inside = [nf for nf in nonfaces if not nf & ~w]
         poly = component_homology_poly(*_localize(inside, w))
@@ -574,12 +579,6 @@ def betti_table_hochster(I):
 # ---------------------------------------------------------------------------
 # Engine 1: lcm lattice with interval homology.
 # ---------------------------------------------------------------------------
-
-
-def lcm_lattice(I):
-    """The lcm lattice of I as polarized masks, Hochster's union closure
-    of the same ideal, under LCM_LATTICE_CAP."""
-    return _union_closure(polarize(I)[1], LCM_LATTICE_CAP, "lcm lattice")
 
 
 def _slack_relations(I):
@@ -729,8 +728,8 @@ def betti_table_lcm(I):
     _check_ideal(I)
     if len(I.gens) > LCM_MAX_GENERATORS:
         raise CapacityError(
-            f"{len(I.gens)} generators exceed the lcm-lattice cap "
-            f"{LCM_MAX_GENERATORS}; use the Hochster engine"
+            f"{len(I.gens)} generators exceed the lcm generator cap "
+            f"{LCM_MAX_GENERATORS}"
         )
     entries = {}
     for w, _, rows, k in _slack_relations(I):

@@ -2,8 +2,8 @@
 other, the lcm engine's interval complexes against their definitions, the
 side Hochster enumerates a component on against the primal route, its
 deletion and link reductions against that enumeration, plus polarization
-invariance, the Hochster union closure, and capacity behavior, decided
-on the full support."""
+invariance, the lcm lattice both engines read, and capacity behavior,
+decided on the full support."""
 
 import functools
 import gc
@@ -172,6 +172,10 @@ class TestStructure:
         lattice = lcm_lattice(I)
         # the lattice contains every lcm of a subset of generators
         assert len(lattice) >= len(I.gens)
+
+    def test_lcm_lattice_is_a_frozenset(self):
+        # The memo hands one object to every caller, so none can change it.
+        assert isinstance(lcm_lattice(I_of(cycle_graph(5))), frozenset)
 
     def test_text_triangle(self):
         T = betti_table(I_of(path_graph(4)), ("lcm",))
@@ -829,11 +833,14 @@ class TestHochsterSweep:
             for sub in itertools.combinations(masks, r)
         }
         cap = data.draw(st.integers(0, len(oracle) + 1))
-        if len(oracle) > cap:
-            with pytest.raises(CapacityError, match="^closure exceeded"):
-                betti._union_closure(masks, cap, "closure")
-        else:
-            assert betti._union_closure(masks, cap, "closure") == oracle
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(betti, "LATTICE_CAP", cap)
+            if len(oracle) > cap:
+                msg = f"^lcm lattice exceeded the cap {cap}$"
+                with pytest.raises(CapacityError, match=msg):
+                    betti._union_closure(masks)
+            else:
+                assert betti._union_closure(masks) == oracle
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -967,9 +974,9 @@ class TestHochsterSweep:
 
     def test_capacity_error_keeps_no_abandoned_route(self, monkeypatch):
         # The 20-vertex component of corona(C5)^2 is certified over the
-        # cap on both routes, so neither the union closure nor any
-        # component homology nor either enumerator starts, no face list is
-        # left behind, and no overflow is chained to the error.
+        # cap on both routes, so neither the lattice nor any component
+        # homology nor either enumerator starts, no face list is left
+        # behind, and no overflow is chained to the error.
         def overflowed():
             return sum(
                 1
@@ -979,7 +986,7 @@ class TestHochsterSweep:
 
         calls = record_calls(
             monkeypatch,
-            "_union_closure",
+            "lcm_lattice",
             "component_homology_poly",
             "_submask_faces",
             "faces_from_nonfaces",
@@ -991,22 +998,24 @@ class TestHochsterSweep:
         assert overflowed() == 0
 
     def test_face_cap_reported_before_the_union_cap(self, monkeypatch):
-        # corona(C5)^2 is over the face cap; with the union cap patched
-        # below its closure it is over both, and the full support, tested
-        # before the closure is built, names the face cap.
-        monkeypatch.setattr(betti, "HOCHSTER_UNION_CAP", 1)
+        # corona(C5)^2 is over the face cap; with the lattice cap patched
+        # below its lattice it is over both, and the full support, tested
+        # before the lattice is read, names the face cap.  The cap is read
+        # when a lattice is built, so the memo is cleared first.
+        monkeypatch.setattr(betti, "LATTICE_CAP", 1)
+        lcm_lattice.cache_clear()
         with pytest.raises(CapacityError, match="face cap"):
             betti_table_hochster(power(I_of(corona(cycle_graph(5))), 2))
-        with pytest.raises(CapacityError, match="union closure exceeded"):
+        with pytest.raises(CapacityError, match="lcm lattice exceeded"):
             betti_table_hochster(I_of(cycle_graph(5)))
 
     def test_capacity_is_decided_on_the_full_support(self, monkeypatch):
         # The certificate runs on each localized component of the full
-        # support in turn, before the union closure is built, and on
-        # nothing after it; a raise stops at the first component over the
-        # cap, with no closure built.
+        # support in turn, before the lattice is read, and on nothing
+        # after it; a raise stops at the first component over the cap,
+        # with no lattice read.
         calls = []
-        over, closure = betti._over_face_cap, betti._union_closure
+        over, closure = betti._over_face_cap, betti.lcm_lattice
 
         def record_over(c, nonfaces, cap):
             calls.append((c, nonfaces))
@@ -1017,7 +1026,7 @@ class TestHochsterSweep:
             return closure(*args)
 
         monkeypatch.setattr(betti, "_over_face_cap", record_over)
-        monkeypatch.setattr(betti, "_union_closure", record_closure)
+        monkeypatch.setattr(betti, "lcm_lattice", record_closure)
         cap = betti.HOMOLOGY_FACE_CAP
         rng = random.Random(14)
         raised = answered = 0
@@ -1094,12 +1103,12 @@ class TestEngineRule:
             betti_table(I_of(path_graph(26)))
 
     def test_hochster_answers_on_26_polarized_variables(self):
-        # I(13 K2): the lcm lattice, 2^13 - 1 elements, is over its cap,
-        # while each component is one edge, on 2 of the 26 variables, and
-        # the union closure fits.
+        # I(13 K2): each Hochster component is one edge, on 2 of the 26
+        # variables, and the lcm lattice, 2^13 - 1 elements, fits the one
+        # lattice cap, so both engines answer its 13 generators.
         G = Graph.from_edges(26, [(2 * i, 2 * i + 1) for i in range(13)])
         T = betti_table(I_of(G))
-        assert T.engines == ("hochster",)
+        assert T.engines == BOTH
         assert T.regularity() == 14  # nu + 1
 
     def test_hochster_answers_past_an_uncertified_overflow(self):
@@ -1130,6 +1139,7 @@ class TestMemos:
             betti._relation_ranks,
             betti._core_ranks,
             betti.polarize,
+            lcm_lattice,
             regularity,
         ):
             assert memo.cache_info().maxsize is not None
@@ -1138,6 +1148,14 @@ class TestMemos:
         regularity(I)
         regularity(I)
         assert regularity.cache_info().hits == 1
+
+    def test_two_engines_build_one_lattice(self):
+        # The lcm engine builds the lattice of I(C5)^2, and Hochster reads
+        # the same build.
+        lcm_lattice.cache_clear()
+        assert betti_table(power(I_of(cycle_graph(5)), 2)).engines == BOTH
+        info = lcm_lattice.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_hochster_reads_no_interval_memo(self):
         # The engines stay independent: Hochster never reaches the lcm
@@ -1179,18 +1197,30 @@ class TestMemos:
 class TestCaps:
     def test_lcm_generator_cap(self):
         # I(K3,6) has 18 generators, over the lcm cap of 16.
-        with pytest.raises(CapacityError):
+        msg = "^18 generators exceed the lcm generator cap 16$"
+        with pytest.raises(CapacityError, match=msg):
             betti_table_lcm(I_of(complete_bipartite_graph(3, 6)))
+
+    def test_lcm_engine_never_reaches_the_lattice_cap(self):
+        # n generators have at most 2^n - 1 distinct lcms, so the generator
+        # cap refuses every ideal whose lattice could pass the lattice cap.
+        assert (1 << betti.LCM_MAX_GENERATORS) - 1 <= betti.LATTICE_CAP
 
     def test_lcm_lattice_cap(self, monkeypatch):
         # I(C5) has 5 generators and a lattice of 16 elements, over the
-        # patched cap; Hochster still answers a two-engine request.
+        # patched cap.  Both engines read that one lattice, so each refuses
+        # it, and a two-engine request names the cap for both.  The cap is
+        # read when a lattice is built, so the memo is cleared first.
         I = I_of(cycle_graph(5))
-        monkeypatch.setattr(betti, "LCM_LATTICE_CAP", 5)
-        msg = "^lcm lattice exceeded the cap 5$"
-        with pytest.raises(CapacityError, match=msg):
-            betti_table(I, ("lcm",))
-        assert betti_table(I).engines == ("hochster",)
+        monkeypatch.setattr(betti, "LATTICE_CAP", 5)
+        lcm_lattice.cache_clear()
+        msg = "lcm lattice exceeded the cap 5"
+        for engines in (("lcm",), ("hochster",)):
+            with pytest.raises(CapacityError, match=f"^{msg}$"):
+                betti_table(I, engines)
+        both = f"^both engines over capacity: {msg}; {msg}$"
+        with pytest.raises(CapacityError, match=both):
+            betti_table(I)
 
     def test_hochster_var_cap(self, monkeypatch):
         # The cap is on each component of the full support: I(P25) is one
@@ -1204,7 +1234,7 @@ class TestCaps:
         calls = record_calls(
             monkeypatch,
             "_face_count",
-            "_union_closure",
+            "lcm_lattice",
             "component_homology_poly",
         )
         with pytest.raises(CapacityError, match="^1200 polarized variables"):

@@ -189,7 +189,7 @@ class TestSweep:
         )
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
         assert digest == (
-            "4acc8f3cafe2a2018460071cc1d4c06522c1c70a45420e04015612133950016f"
+            "08ef3fa9a189f4057030d8bb94f20d83cbc3df259450d4002135239d1db06d17"
         )
 
     def test_jobs_parallel_equals_serial(self):
