@@ -295,9 +295,9 @@ def cmd_sweep(args):
     return _exit_code(report)
 
 
-# The `generate` flags that describe a family, each named as its config key.
-_FAMILY_FLAGS = ("kind", "n", "m", "density", "seed", "odd_girth_min", "cap",
-                 "names")
+# The `generate` flags that describe a family: one per `FamilySpec` field,
+# each named as its config key.
+_FAMILY_FLAGS = tuple(f.name for f in dataclasses.fields(FamilySpec))
 
 
 def cmd_generate(args):

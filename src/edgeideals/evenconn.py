@@ -14,10 +14,14 @@ more often than its multiplicity in the product.  Vertices may repeat
 along the walk.
 
 The search runs a layered breadth-first sweep over states (current
-vertex at an even position, residual multiplicities), which yields the
-shortest witness walk and, among the shortest, the lexicographically
-least.  Everything here is independent of the monomial-algebra colon
-computation, so the two can referee each other.
+vertex at an even position, residual count vector), where the count
+vector holds one entry per distinct product edge, in sorted order, and
+each interior pair decrements its entry.  Every walk in a layer has the
+same length, so each layer is closed once: the first layer whose final
+step reaches v holds v's shortest witness walks, and the least of them
+in lexicographic order is v's witness.  Everything here is independent
+of the monomial-algebra colon computation, so the two can referee each
+other.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ def normalize_edge_product(G, edges):
     if not edges:
         raise EvenConnectionError("an edge product needs at least one edge")
     out = []
-    for e in edges:
-        u, v = e
-        if tuple(sorted((u, v))) not in G.edges:
-            raise EvenConnectionError(f"{tuple(sorted((u, v)))} is not an edge")
-        out.append(tuple(sorted((u, v))))
+    for u, v in edges:
+        e = tuple(sorted((u, v)))
+        if e not in G.edges:
+            raise EvenConnectionError(f"{e} is not an edge")
+        out.append(e)
     return tuple(sorted(out))
 
 
@@ -81,72 +85,42 @@ def validate_witness(G, edges, witness, u, v):
     return tuple(bridges) == witness.bridge_edges
 
 
-def _counts(product):
-    counts = {}
-    for e in product:
-        counts[e] = counts.get(e, 0) + 1
-    return counts
-
-
-def _multiset_key(counts):
-    return tuple(sorted((e, c) for e, c in counts.items() if c))
-
-
 def even_connections_from(G, product, u):
     """All witnesses from u: a dict v -> EvenConnectionWitness, each the
     lexicographically least among the shortest witness walks from u to v."""
-    counts = _counts(product)
-    distinct = sorted(counts)
+    distinct = sorted(set(product))
+    # bridges[a] lists (i, b) for each distinct product edge i = {a, b}.
+    bridges = [[] for _ in range(G.n)]
+    for i, (a, b) in enumerate(distinct):
+        bridges[a].append((i, b))
+        bridges[b].append((i, a))
     best = {}
-    # Layered BFS over (vertex at even position, residual multiset); each
-    # layer uses one more interior pair, so walks in a layer share length
-    # and prefix comparison is plain lexicographic order.
-    layer = {(u, _multiset_key(counts)): (u,)}
-    residuals = {_multiset_key(counts): counts}
-
-    def close_walks(layer):
-        # One final step from every walk that consumed at least one pair.
-        for (w, _rkey), walk in sorted(layer.items(), key=lambda kv: kv[1]):
-            if len(walk) == 1:
-                continue
-            for v in sorted(G.adj[w]):
-                cand = walk + (v,)
-                old = best.get(v)
-                if old is None or (len(cand), cand) < (len(old.walk), old.walk):
-                    bridges = tuple(
-                        tuple(sorted((cand[2 * k + 1], cand[2 * k + 2])))
-                        for k in range(len(cand) // 2 - 1)
-                    )
-                    best[v] = EvenConnectionWitness(cand, bridges)
-
+    # A layer maps (vertex at an even position, residual counts) to the
+    # least walk reaching that state; entry i counts unused distinct[i].
+    layer = {(u, tuple(product.count(e) for e in distinct)): (u,)}
     for _ in range(len(product)):
-        close_walks(layer)
         nxt = {}
-        for (w, rkey), walk in layer.items():
-            rem = residuals[rkey]
-            for a in sorted(G.adj[w]):
-                for e in distinct:
-                    if not rem.get(e):
-                        continue
-                    if a == e[0]:
-                        b = e[1]
-                    elif a == e[1]:
-                        b = e[0]
-                    else:
-                        continue
-                    rem2 = dict(rem)
-                    rem2[e] -= 1
-                    rkey2 = _multiset_key(rem2)
-                    residuals.setdefault(rkey2, rem2)
-                    cand = walk + (a, b)
-                    state = (b, rkey2)
-                    if state not in nxt or cand < nxt[state]:
-                        nxt[state] = cand
+        for (w, rest), walk in layer.items():
+            for a in G.adj[w]:
+                for i, b in bridges[a]:
+                    if rest[i]:
+                        state = (b, rest[:i] + (rest[i] - 1,) + rest[i + 1:])
+                        cand = walk + (a, b)
+                        if state not in nxt or cand < nxt[state]:
+                            nxt[state] = cand
         layer = nxt
-        if not layer:
-            break
-    # Walks that consumed the whole multiset still need their final step.
-    close_walks(layer)
+        reached = {}
+        for (w, _rest), walk in layer.items():
+            for v in G.adj[w]:
+                if v not in best:
+                    cand = walk + (v,)
+                    if v not in reached or cand < reached[v]:
+                        reached[v] = cand
+        for v, walk in reached.items():
+            bridge_edges = tuple(
+                tuple(sorted(walk[j:j + 2])) for j in range(1, len(walk) - 2, 2)
+            )
+            best[v] = EvenConnectionWitness(walk, bridge_edges)
     return best
 
 
@@ -216,7 +190,7 @@ class ColonQuadraticIdeal:
 def colon_graph(G, edges):
     """Quadratic generators of (I(G)^{s+1} : e_1...e_s) by even-connection
     search alone (no ideal arithmetic)."""
-    if isinstance(G, Graph) is False:
+    if not isinstance(G, Graph):
         raise GraphError("expected a Graph")
     product = normalize_edge_product(G, edges)
     out_edges = set(G.edges)

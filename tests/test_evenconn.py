@@ -2,6 +2,7 @@
 and random equivalence with the plain colon-ideal computation."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -15,7 +16,12 @@ from edgeideals.evenconn import (
     normalize_edge_product,
     validate_witness,
 )
-from edgeideals.generators import cycle_graph, path_graph, random_graph
+from edgeideals.generators import (
+    cycle_graph,
+    enumerate_all_graphs,
+    path_graph,
+    random_graph,
+)
 from edgeideals.graphs import Graph
 from edgeideals.monomials import equals
 
@@ -178,3 +184,59 @@ class TestSweepAPI:
     def test_vertex_out_of_range(self):
         with pytest.raises(EvenConnectionError):
             is_even_connected(path_graph(4), [(1, 2)], 0, 9)
+
+
+def _least_walks_by_definition(G, product, u):
+    """v -> the least (length, walk, bridges) over every walk
+    u = p_0, ..., p_{2l+1} = v with 1 <= l <= s whose consecutive pairs
+    are edges and whose interior pairs each consume one product factor."""
+    best = {}
+
+    def extend(walk, left, used):
+        if used:
+            for v in G.adj[walk[-1]]:
+                cand = (len(walk), walk + (v,), tuple(used))
+                if v not in best or cand[:2] < best[v][:2]:
+                    best[v] = cand
+        for a in G.adj[walk[-1]]:
+            for b in G.adj[a]:
+                pair = tuple(sorted((a, b)))
+                if pair in left:
+                    rest = list(left)
+                    rest.remove(pair)
+                    extend(walk + (a, b), rest, used + [pair])
+
+    extend((u,), list(product), [])
+    return best
+
+
+class TestDefinitionOracle:
+    def test_search_matches_walk_enumeration(self):
+        # Every graph on 2..5 vertices, every edge multiset of size <= 2
+        # (repeated edges included), every start vertex: the search gives
+        # the least (length, walk) of all walks, and its bridge edges.
+        searches = 0
+        for n in range(2, 6):
+            for G in enumerate_all_graphs(n):
+                for s in (1, 2):
+                    for edges in combinations_with_replacement(
+                        sorted(G.edges), s
+                    ):
+                        product = normalize_edge_product(G, edges)
+                        for u in range(G.n):
+                            found = even_connections_from(G, product, u)
+                            expected = _least_walks_by_definition(
+                                G, product, u
+                            )
+                            assert {
+                                v: (w.walk, w.bridge_edges)
+                                for v, w in found.items()
+                            } == {
+                                v: (walk, used)
+                                for v, (_, walk, used) in expected.items()
+                            }
+                            searches += 1
+                        Q = colon_graph(G, product)
+                        for (u, v), wit in Q.witnesses:
+                            assert wit == is_even_connected(G, product, u, v)
+        assert searches > 1000
