@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 from .graphs import (
     Graph,
     GraphError,
+    _canonical_search,
     canonical_key,
     certificate_conditions_hold,
     is_very_well_covered,
@@ -126,27 +127,43 @@ def enumerate_all_graphs(n, allow_isolated=False):
     """One representative per isomorphism class of graphs on n vertices,
     by default without isolated vertices; built by vertex augmentation
     (every n-vertex graph minus its last vertex is an (n-1)-vertex graph).
-    Deterministic order: by edge count, then edge list."""
+    Deterministic order: by edge count, then edge list.
+
+    Each class is represented by the first extension, over parents in
+    order and neighbour masks in increasing order, that falls in it.
+    The parent's automorphisms map each mask onto masks whose extensions
+    are isomorphic to its own, so only the first mask of each orbit is
+    keyed (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+    26, 1998); a skipped mask could never be the first of its class."""
     if not 1 <= n <= 8:
         raise GraphError(f"exhaustive enumeration supports 1 <= n <= 8, got {n}")
-    reps = {canonical_key(Graph(1, frozenset())): frozenset()}
+    key, gens = _canonical_search(1, frozenset())
+    reps = {key: (frozenset(), gens)}
     for level in range(2, n + 1):
         new = {}
         v = level - 1
-        for edges in reps.values():
+        for edges, gens in reps.values():
+            seen = bytearray(1 << v)
             for mask in range(1 << v):
-                ext = set(edges)
-                rem = mask
-                while rem:
-                    bit = rem & -rem
-                    ext.add((bit.bit_length() - 1, v))
-                    rem ^= bit
-                fext = frozenset(ext)
-                key = canonical_key(Graph(level, fext))
+                if seen[mask]:
+                    continue
+                # Mark the mask's orbit, of which it is the least member.
+                seen[mask] = 1
+                orbit = [mask]
+                for member in orbit:
+                    for g in gens:
+                        image = sum(
+                            1 << g[u] for u in range(v) if member >> u & 1
+                        )
+                        if not seen[image]:
+                            seen[image] = 1
+                            orbit.append(image)
+                ext = edges | {(u, v) for u in range(v) if mask >> u & 1}
+                key, ext_gens = _canonical_search(level, ext)
                 if key not in new:
-                    new[key] = fext
+                    new[key] = (ext, ext_gens)
         reps = new
-    graphs = [Graph(n, e) for e in reps.values()]
+    graphs = [Graph(n, e) for e, _ in reps.values()]
     if not allow_isolated:
         covered = lambda G: all(G.adj[v] for v in range(G.n))
         graphs = [G for G in graphs if covered(G)]

@@ -359,66 +359,130 @@ def find_vwc_certificate(G):
     return None
 
 
+def _orbits(points, perms):
+    """The union of the orbits of `points` under the group `perms` generate."""
+    out = set(points)
+    stack = list(out)
+    while stack:
+        x = stack.pop()
+        for g in perms:
+            y = g[x]
+            if y not in out:
+                out.add(y)
+                stack.append(y)
+    return out
+
+
 @lru_cache(maxsize=262144)
-def _canonical_key(n, edges):
+def _canonical_search(n, edges):
+    """(canonical key, automorphism generators) of the graph on 0..n-1.
+
+    Individualization-refinement: refine the colouring to a fixed point,
+    individualize each vertex of the first non-singleton cell in turn,
+    and take the least sorted edge code over the discrete leaves.
+    Colours are always dense ranks, and refinement and target choice
+    commute with relabelling, so two leaves with equal codes give an
+    automorphism (McKay and Piperno, "Practical graph isomorphism, II",
+    J. Symbolic Comput. 60, 2014).  A node skips a target vertex in the
+    orbit of one it explored under the automorphisms found so far that
+    fix its individualized vertices: that subtree is the image of an
+    explored one and holds the same codes.  The generators are
+    permutations p with p[v] the image of v; they generate a subgroup of
+    Aut(G), the whole group for an empty or complete graph.
+    """
     if n == 0:
-        return (0, ())
+        return (0, ()), ()
     complete = n * (n - 1) // 2
     if len(edges) in (0, complete):
-        # Vertex-transitive extremes: any labeling is canonical.
-        return (n, tuple(sorted(edges)))
+        # Vertex-transitive extremes: any labelling is canonical, and a
+        # transposition and an n-cycle generate the symmetric group.
+        swap = (1, 0, *range(2, n))
+        cycle = (*range(1, n), 0)
+        gens = tuple(dict.fromkeys((swap, cycle))) if n > 1 else ()
+        return (n, tuple(sorted(edges))), gens
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
 
-    def refine(colors):
+    def refine(colors, count):
+        # Each pass splits classes and keeps their order; a pass that
+        # leaves the class count unchanged leaves every colour unchanged.
         while True:
             sig = [
-                (colors[v], tuple(sorted(colors[u] for u in adj[v])))
-                for v in range(n)
+                (c, tuple(sorted([colors[u] for u in nbrs])))
+                for c, nbrs in zip(colors, adj)
             ]
-            rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-            new = tuple(rank[s] for s in sig)
-            if new == colors:
-                return new
-            colors = new
+            ranks = sorted(set(sig))
+            if len(ranks) == count:
+                return colors, count
+            rank = {s: i for i, s in enumerate(ranks)}
+            colors = tuple([rank[s] for s in sig])
+            count = len(ranks)
 
+    leaves = {}  # leaf code -> (labelling, path) of the first leaf with it
+    gens = []
     best = None
 
-    def search(colors):
+    def search(colors, count, path):
+        # Returns the depth of the deepest node on `path` whose search
+        # goes on; a node at that depth or above it continues its loop.
         nonlocal best
-        cells = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = c
-                break
-        if target is None:
+        if count == n:
             code = tuple(
-                sorted(_norm(colors[u], colors[v]) for u, v in edges)
+                sorted([_norm(colors[u], colors[v]) for u, v in edges])
             )
-            if best is None or code < best:
-                best = code
-            return
-        for v in cells[target]:
-            sig = tuple(
-                (colors[u], 0 if u == v else 1) for u in range(n)
+            first, first_path = leaves.setdefault(code, (colors, path))
+            if first is colors:
+                if best is None or code < best:
+                    best = code
+                return len(path)
+            label_of = [0] * n
+            for v, c in enumerate(colors):
+                label_of[c] = v
+            gens.append(tuple([label_of[c] for c in first]))
+            # The new automorphism fixes the paths' common prefix and maps
+            # the earlier leaf's branch, searched in full, onto this one.
+            return next(
+                d for d, (a, b) in enumerate(zip(first_path, path)) if a != b
             )
-            rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-            search(refine(tuple(rank[s] for s in sig)))
+        depth = len(path)
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        target = next(c for c in range(count) if sizes[c] > 1)
+        stab, known, done = [], 0, set()
+        for v in range(n):
+            if colors[v] != target:
+                continue
+            if done and len(gens) > known:
+                stab += [
+                    g for g in gens[known:] if all(g[p] == p for p in path)
+                ]
+                known = len(gens)
+                done = _orbits(done, stab)
+            if v in done:
+                continue
+            done |= _orbits((v,), stab)
+            # The rank of (colour, 0 if u == v else 1) over dense colours.
+            child = tuple([
+                c + (c > target or (c == target and u != v))
+                for u, c in enumerate(colors)
+            ])
+            back = search(*refine(child, count + 1), path + (v,))
+            if back < depth:
+                return back
+        return depth
 
-    search(refine((0,) * n))
-    return (n, best)
+    search(*refine((0,) * n, 1), ())
+    return (n, best), tuple(gens)
 
 
 def canonical_key(G):
     """A canonical form: the lexicographically least edge encoding over all
     vertex orderings compatible with iterated color refinement.  Two graphs
     are isomorphic iff their canonical keys are equal."""
-    return _canonical_key(G.n, G.edges)
+    return _canonical_search(G.n, G.edges)[0]
 
 
 def are_isomorphic(G, H):

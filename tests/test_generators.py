@@ -32,6 +32,24 @@ from edgeideals.graphs import (
 )
 
 
+def enumerate_by_keying_every_extension(n, allow_isolated):
+    """The exhaustive enumeration with no orbit skipping: every extension
+    mask of every parent is keyed, and the first one of each class kept."""
+    reps = {canonical_key(Graph(1, frozenset())): frozenset()}
+    for level in range(2, n + 1):
+        new = {}
+        v = level - 1
+        for edges in reps.values():
+            for mask in range(1 << v):
+                ext = edges | {(u, v) for u in range(v) if mask >> u & 1}
+                new.setdefault(canonical_key(Graph(level, ext)), ext)
+        reps = new
+    graphs = [Graph(n, e) for e in reps.values()]
+    if not allow_isolated:
+        graphs = [G for G in graphs if not G.isolated_vertices()]
+    return sorted(graphs, key=lambda G: (len(G.edges), G.sorted_edges))
+
+
 class TestBasicFamilies:
     def test_shapes(self):
         assert path_graph(1).n == 1 and not path_graph(1).edges
@@ -93,6 +111,15 @@ class TestExhaustiveEnumeration:
 
     def test_deterministic_order(self):
         assert enumerate_all_graphs(5) == enumerate_all_graphs(5)
+
+    @pytest.mark.parametrize("allow_isolated", [False, True])
+    def test_orbit_skipping_keeps_every_representative(self, allow_isolated):
+        for n in range(1, 8):
+            expected = enumerate_by_keying_every_extension(n, allow_isolated)
+            got = enumerate_all_graphs(n, allow_isolated)
+            assert [G.sorted_edges for G in got] == [
+                G.sorted_edges for G in expected
+            ]
 
     def test_range_validation(self):
         with pytest.raises(GraphError):

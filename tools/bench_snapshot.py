@@ -1,6 +1,6 @@
 """Snapshot every benchmark workload into one BENCH_*.json file.
 
-    python3 tools/bench_snapshot.py [--checkout DIR]
+    python3 tools/bench_snapshot.py [--checkout DIR] [--parent DIR]
 
 Runs each workload that the checkout's BENCHMARK.json declares through
 the declared command (`perfbench/run.py`), from the checkout's root, with
@@ -13,14 +13,19 @@ host name, `os.cpu_count()`, the Python version and the checkout's
 commit, marked dirty when the checkout has uncommitted changes.
 
 The checkout defaults to this repository; point --checkout at a clone of
-another commit to snapshot it with the same settings.  Compare snapshots
-only from one host, taken close together in time.
+another commit to snapshot it with the same settings.  Snapshots taken
+one after the other drift with the host, so to compare two commits give
+--parent a clone of the other one: each workload and trace setting then
+runs in both checkouts in turn, the parent first on every other run, and
+one snapshot is written for each.  The two checkouts must declare the
+same workloads.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import os
 import platform
@@ -57,27 +62,22 @@ def run_workload(checkout, command, workload, seconds, trace):
     return lines[:-1], json.loads(lines[-1])
 
 
-def snapshot(checkout, runner=run_workload):
-    """Every workload of the checkout's BENCHMARK.json, untraced and
-    traced, with the host and the commit."""
-    with open(Path(checkout) / "BENCHMARK.json") as fh:
-        bench = json.load(fh)
-    seconds = bench["run_seconds"]
-    runs = {}
-    for spec in bench["workloads"]:
-        name = spec["name"]
-        runs[name] = {}
-        for trace in (0, 1):
-            log, out = runner(checkout, bench["command"], name, seconds,
-                              trace)
-            runs[name][f"trace{trace}"] = {
-                "log": log,
-                "correct": out["correct"],
-                "attempted": out["attempted"],
-                "failed": out["failed"],
-                "metrics": out["metrics"],
-            }
-    return {
+def snapshots(checkouts, runner=run_workload):
+    """Every workload of the checkouts' BENCHMARK.json files, untraced and
+    traced, one snapshot per checkout.  Each (workload, trace) runs in
+    every checkout before the next starts, in the given order for the
+    first, reversed for the second, and so on.  ValueError, before any
+    run, when the checkouts declare different workloads or two of them
+    would write one file name."""
+    benches = []
+    for checkout in checkouts:
+        with open(Path(checkout) / "BENCHMARK.json") as fh:
+            benches.append(json.load(fh))
+    names = [spec["name"] for spec in benches[0]["workloads"]]
+    if any([spec["name"] for spec in b["workloads"]] != names
+           for b in benches):
+        raise ValueError("the checkouts declare different workloads")
+    snaps = [{
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"),
         "commit": git(checkout, "rev-parse", "HEAD"),
@@ -87,9 +87,30 @@ def snapshot(checkout, runner=run_workload):
         "python": platform.python_version(),
         "command": bench["command"],
         "seed": SEED,
-        "seconds": seconds,
-        "workloads": runs,
-    }
+        "seconds": bench["run_seconds"],
+        "workloads": {name: {} for name in names},
+    } for checkout, bench in zip(checkouts, benches)]
+    if len({file_name(snap) for snap in snaps}) < len(snaps):
+        raise ValueError("two checkouts are at one commit")
+    order = list(range(len(checkouts)))
+    for i, (name, trace) in enumerate(itertools.product(names, (0, 1))):
+        for k in order if i % 2 == 0 else order[::-1]:
+            snap = snaps[k]
+            log, out = runner(checkouts[k], snap["command"], name,
+                              snap["seconds"], trace)
+            snap["workloads"][name][f"trace{trace}"] = {
+                "log": log,
+                "correct": out["correct"],
+                "attempted": out["attempted"],
+                "failed": out["failed"],
+                "metrics": out["metrics"],
+            }
+    return snaps
+
+
+def snapshot(checkout, runner=run_workload):
+    """The snapshot of one checkout."""
+    return snapshots([checkout], runner)[0]
 
 
 def file_name(snap):
@@ -106,21 +127,33 @@ def main(argv=None):
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="root of the checkout to benchmark (default: this "
                          "repository)")
+    ap.add_argument("--parent", type=Path,
+                    help="root of a second checkout to run in turn with "
+                         "the first, workload by workload")
     args = ap.parse_args(argv)
 
-    if not (args.checkout / "BENCHMARK.json").is_file():
-        print(f"no BENCHMARK.json under {args.checkout}", file=sys.stderr)
+    checkouts = [args.checkout]
+    if args.parent is not None:
+        checkouts.insert(0, args.parent)
+    for checkout in checkouts:
+        if not (checkout / "BENCHMARK.json").is_file():
+            print(f"no BENCHMARK.json under {checkout}", file=sys.stderr)
+            return 2
+    try:
+        snaps = snapshots([checkout.resolve() for checkout in checkouts])
+    except ValueError as err:
+        print(err, file=sys.stderr)
         return 2
-    snap = snapshot(args.checkout.resolve())
     out_dir = ROOT / "bench"
     out_dir.mkdir(exist_ok=True)
-    path = out_dir / file_name(snap)
-    with open(path, "w") as fh:
-        json.dump(snap, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(path)
+    for snap in snaps:
+        path = out_dir / file_name(snap)
+        with open(path, "w") as fh:
+            json.dump(snap, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(path)
     return 0 if all(
-        run["correct"] for w in snap["workloads"].values()
+        run["correct"] for snap in snaps for w in snap["workloads"].values()
         for run in w.values()) else 1
 
 
