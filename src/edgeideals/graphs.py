@@ -386,7 +386,9 @@ def _canonical_search(n, edges):
     J. Symbolic Comput. 60, 2014).  A node skips a target vertex in the
     orbit of one it explored under the automorphisms found so far that
     fix its individualized vertices: that subtree is the image of an
-    explored one and holds the same codes.  The generators are
+    explored one and holds the same codes.  For the same reason a leaf
+    that repeats an earlier code sends the search back to the node where
+    the two leaves' paths part.  The generators are
     permutations p with p[v] the image of v; they generate a subgroup of
     Aut(G), the whole group for an empty or complete graph.
     """
@@ -425,8 +427,8 @@ def _canonical_search(n, edges):
     best = None
 
     def search(colors, count, path):
-        # Returns the depth of the deepest node on `path` whose search
-        # goes on; a node at that depth or above it continues its loop.
+        # Returns a depth d: the nodes on `path` deeper than d stop at
+        # once, and the others go on.
         nonlocal best
         if count == n:
             code = tuple(

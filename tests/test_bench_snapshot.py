@@ -49,14 +49,13 @@ def recording_runner(calls):
 
 
 def test_every_workload_untraced_and_traced(tmp_path):
-    bench = BENCH
     checkout(tmp_path)
     calls = []
     runner = recording_runner(calls)
 
-    snap = bench_snapshot.snapshot(tmp_path, runner)
+    [snap] = bench_snapshot.snapshots([tmp_path], runner)
     assert calls == [
-        (tmp_path, bench["command"], name, 20, trace)
+        (tmp_path, BENCH["command"], name, 20, trace)
         for name in ("a", "b") for trace in (0, 1)
     ]
     assert snap["workloads"]["b"]["trace1"] == {
@@ -68,7 +67,7 @@ def test_every_workload_untraced_and_traced(tmp_path):
     assert bench_snapshot.file_name(snap) == (
         f"BENCH_{snap['date'][:10]}_{head[:7]}.json")
     (tmp_path / "untracked").write_text("")
-    snap = bench_snapshot.snapshot(tmp_path, runner)
+    [snap] = bench_snapshot.snapshots([tmp_path], runner)
     assert snap["dirty"] and (snap["seed"], snap["seconds"]) == (1, 20)
     assert bench_snapshot.file_name(snap).endswith(f"{head[:7]}-dirty.json")
 

@@ -108,11 +108,6 @@ def snapshots(checkouts, runner=run_workload):
     return snaps
 
 
-def snapshot(checkout, runner=run_workload):
-    """The snapshot of one checkout."""
-    return snapshots([checkout], runner)[0]
-
-
 def file_name(snap):
     """BENCH_<date>_<short commit>.json, with -dirty for a dirty tree."""
     day = snap["date"][:10]
