@@ -158,7 +158,11 @@ def enumerate_all_graphs(n, allow_isolated=False):
                         if not seen[image]:
                             seen[image] = 1
                             orbit.append(image)
-                ext = edges | {(u, v) for u in range(v) if mask >> u & 1}
+                # Grown from a set, so that each edge frozenset iterates in
+                # the order it always has: the checks' costs follow it.
+                ext = set(edges)
+                ext.update((u, v) for u in range(v) if mask >> u & 1)
+                ext = frozenset(ext)
                 key, ext_gens = _canonical_search(level, ext)
                 if key not in new:
                     new[key] = (ext, ext_gens)
