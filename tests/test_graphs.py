@@ -174,6 +174,7 @@ def relabel(G, perm):
 
 
 def complement(G):
+    """G's complement on the same vertices."""
     return Graph.from_edges(
         G.n, [e for e in itertools.combinations(range(G.n), 2)
               if e not in G.edges])
