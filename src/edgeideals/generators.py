@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     GraphError,
     _canonical_search,
+    _mask_orbit,
     canonical_key,
     certificate_conditions_hold,
     is_very_well_covered,
@@ -148,16 +149,8 @@ def enumerate_all_graphs(n, allow_isolated=False):
                 if seen[mask]:
                     continue
                 # Mark the mask's orbit, of which it is the least member.
-                seen[mask] = 1
-                orbit = [mask]
-                for member in orbit:
-                    for g in gens:
-                        image = sum(
-                            1 << g[u] for u in range(v) if member >> u & 1
-                        )
-                        if not seen[image]:
-                            seen[image] = 1
-                            orbit.append(image)
+                for image in _mask_orbit(mask, gens):
+                    seen[image] = 1
                 # Grown from a set, so that each edge frozenset iterates in
                 # the order it always has: the checks' costs follow it.
                 ext = set(edges)
@@ -195,65 +188,41 @@ _BLOCK_PATTERNS = (
 
 def _vwc_search(m):
     """All cross-edge assignments whose fixed matching certifies; yields
-    frozensets of edges on 2m labeled vertices, one at a time."""
+    frozensets of edges on 2m labeled vertices, one at a time.
+
+    A depth-first walk over a stack of steps (i, t), taken in order of
+    t, then i.  Step (i, t) with i < t gives blocks i and t each pattern
+    in turn; step (t, t) certifies blocks 0..t, whose induced subgraph is
+    final, so a violated condition there can never be repaired later."""
     matching = [(2 * i, 2 * i + 1) for i in range(m)]
     base = [0] * (2 * m)
     for x, y in matching:
         base[x] |= 1 << y
         base[y] |= 1 << x
-
-    def place(t, adj, edges):
+    stack = [(0, 1, base, matching)]
+    while stack:
+        i, t, adj, edges = stack.pop()
         if t == m:
             yield frozenset(edges)
-            return
-        # Assign patterns for all pairs (i, t), i < t, then certify the
-        # prefix on blocks 0..t: its induced subgraph is final, so a
-        # violated condition there can never be repaired later.
-        def assign(i, adj2, edges2):
-            if i == t:
-                if certificate_conditions_hold(adj2, matching[: t + 1]):
-                    yield from place(t + 1, adj2, edges2)
-                return
-            for pattern in _BLOCK_PATTERNS:
-                adj3 = adj2
-                edges3 = edges2
-                ok = True
+        elif i == t:
+            if certificate_conditions_hold(adj, matching[: t + 1]):
+                stack.append((0, t + 1, adj, edges))
+        else:
+            # Pushed in reverse, so that they are taken in pattern order.
+            for pattern in reversed(_BLOCK_PATTERNS):
+                if not pattern:
+                    stack.append((i + 1, t, adj, edges))
+                    continue
+                x, y = 2 * i, 2 * t
+                child = list(adj)
+                added = []
                 for a, b in pattern:
-                    u, v = 2 * i + a, 2 * t + b
-                    if adj3 is adj2:
-                        adj3 = list(adj2)
-                        edges3 = list(edges2)
-                    adj3[u] |= 1 << v
-                    adj3[v] |= 1 << u
-                    edges3.append((u, v))
-                if pattern:
-                    # Early triangle check on the two touched blocks.
-                    for blk in (i, t):
-                        if adj3[2 * blk] & adj3[2 * blk + 1]:
-                            ok = False
-                            break
-                if ok:
-                    yield from assign(i + 1, adj3, edges3)
-
-        yield from assign(0, adj, edges)
-
-    yield from place(1, base, matching)
-
-
-def _matching_relabelings(m):
-    """The 2^m * m! vertex permutations of 2m vertices that map the
-    matching {(2i, 2i+1)} onto itself: permute the blocks, and swap the
-    two ends of any subset of them."""
-    out = []
-    for order in itertools.permutations(range(m)):
-        for swaps in range(1 << m):
-            perm = [0] * (2 * m)
-            for i, j in enumerate(order):
-                s = swaps >> i & 1
-                perm[2 * i] = 2 * j + s
-                perm[2 * i + 1] = 2 * j + 1 - s
-            out.append(tuple(perm))
-    return out
+                    child[x + a] |= 1 << (y + b)
+                    child[y + b] |= 1 << (x + a)
+                    added.append((x + a, y + b))
+                # Early triangle check on the two touched blocks.
+                if not (child[x] & child[x + 1] or child[y] & child[y + 1]):
+                    stack.append((i + 1, t, child, edges + added))
 
 
 def enumerate_vwc_graphs(m):
@@ -264,42 +233,29 @@ def enumerate_vwc_graphs(m):
     Each class is represented by the first output of `_vwc_search(m)`
     that falls in it.  A relabeling that keeps the fixed matching maps
     every output to an isomorphic edge set, so once an output has been
-    keyed, all of its images under those 2^m * m! relabelings are marked
-    and skipped without a `canonical_key` call.  Skipping is sound: the
+    keyed, its orbit under those 2^m * m! relabelings is marked and
+    skipped without a `canonical_key` call.  Skipping is sound: the
     first output of a class could be marked only as the image of an
     earlier output, which would lie in the same class.  Marks are edge
-    bitmasks over the vertex-pair slots u * 2m + v (u < v); each is
+    bitmasks over the vertex-pair slots u * 2m + v (u < v), walked by
+    `_mask_orbit` under three generators of the relabelings; each is
     dropped once reached, since the search yields every edge set once."""
     if not 1 <= m <= 5:
         raise GraphError(f"vwc enumeration supports 1 <= m <= 5, got {m}")
     n = 2 * m
-    # For each relabeling, the slot each pair slot moves to.
-    slot_maps = []
-    for perm in _matching_relabelings(m):
-        slot_map = [0] * (n * n)
-        for u in range(n):
-            for v in range(u + 1, n):
-                a, b = perm[u], perm[v]
-                slot_map[u * n + v] = a * n + b if a < b else b * n + a
-        slot_maps.append(slot_map)
+    slot_maps = _matching_slot_maps(m)
     seen = {}
     marked = set()
     for edges in _vwc_search(m):
-        slots = [u * n + v for u, v in edges]
         mask = 0
-        for slot in slots:
-            mask |= 1 << slot
+        for u, v in edges:
+            mask |= 1 << (u * n + v)
         if mask in marked:
             marked.discard(mask)
             continue
         G = Graph(n, edges)
         seen.setdefault(canonical_key(G), G)
-        for slot_map in slot_maps:
-            image = 0
-            for slot in slots:
-                image |= 1 << slot_map[slot]
-            marked.add(image)
-        marked.discard(mask)
+        marked.update(_mask_orbit(mask, slot_maps)[1:])
     graphs = sorted(seen.values(), key=lambda G: (len(G.edges), G.sorted_edges))
     for G in graphs:
         if not is_very_well_covered(G):
@@ -308,6 +264,25 @@ def enumerate_vwc_graphs(m):
                 f"{G.sorted_edges}"
             )
     return graphs
+
+
+def _matching_slot_maps(m):
+    """Three relabelings of 2m vertices that generate those keeping the
+    matching {(2i, 2i+1)}: swap the ends of block 0, swap blocks 0 and 1,
+    and rotate the blocks.  Each is given as the map from a vertex-pair
+    slot u * 2m + v (u < v) to the slot of its image pair."""
+    n = 2 * m
+    perms = [(1, 0, *range(2, n))]
+    if m > 1:
+        perms += [(2, 3, 0, 1, *range(4, n)), (*range(2, n), 0, 1)]
+    slot_maps = []
+    for perm in dict.fromkeys(perms):
+        slot_map = [0] * (n * n)
+        for u, v in itertools.combinations(range(n), 2):
+            a, b = sorted((perm[u], perm[v]))
+            slot_map[u * n + v] = a * n + b
+        slot_maps.append(slot_map)
+    return slot_maps
 
 
 def random_vwc_graph(m, density, seed):

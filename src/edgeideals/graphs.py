@@ -373,6 +373,41 @@ def _orbits(points, perms):
     return out
 
 
+def _mask_orbit(mask, perms):
+    """The orbit of the bitmask `mask` under the group the bit
+    permutations `perms` generate (p moves bit b to bit p[b]), as a list
+    with `mask` first."""
+    orbit = [mask]
+    seen = {mask}
+    for member in orbit:
+        bits = []
+        while member:
+            low = member & -member
+            bits.append(low.bit_length() - 1)
+            member ^= low
+        for p in perms:
+            image = 0
+            for b in bits:
+                image |= 1 << p[b]
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
+
+
+def _symmetric_generators(n, points):
+    """A transposition and a cycle of the vertices `points`, which
+    generate every permutation of them; as permutations of 0..n-1."""
+    if len(points) < 2:
+        return ()
+    swap = list(range(n))
+    swap[points[0]], swap[points[1]] = points[1], points[0]
+    cycle = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        cycle[a] = b
+    return tuple(dict.fromkeys((tuple(swap), tuple(cycle))))
+
+
 @lru_cache(maxsize=262144)
 def _canonical_search(n, edges):
     """(canonical key, automorphism generators) of the graph on 0..n-1.
@@ -388,24 +423,25 @@ def _canonical_search(n, edges):
     fix its individualized vertices: that subtree is the image of an
     explored one and holds the same codes.  For the same reason a leaf
     that repeats an earlier code sends the search back to the node where
-    the two leaves' paths part.  The generators are
-    permutations p with p[v] the image of v; they generate a subgroup of
-    Aut(G), the whole group for an empty or complete graph.
+    the two leaves' paths part.  Isolated vertices take the lowest labels
+    in every leaf, so they start individualized, in index order, and a
+    transposition and a cycle of them join the generators.  The
+    generators are permutations p with p[v] the image of v; they
+    generate a subgroup of Aut(G), the whole group for an edgeless or
+    complete graph.
     """
-    if n == 0:
-        return (0, ()), ()
-    complete = n * (n - 1) // 2
-    if len(edges) in (0, complete):
-        # Vertex-transitive extremes: any labelling is canonical, and a
-        # transposition and an n-cycle generate the symmetric group.
-        swap = (1, 0, *range(2, n))
-        cycle = (*range(1, n), 0)
-        gens = tuple(dict.fromkeys((swap, cycle))) if n > 1 else ()
+    if len(edges) == n * (n - 1) // 2:
+        # Complete: any labelling is canonical.
+        gens = _symmetric_generators(n, list(range(n)))
         return (n, tuple(sorted(edges))), gens
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    isolated = [v for v in range(n) if not adj[v]]
+    k = len(isolated)
+    rank = {v: c for c, v in enumerate(isolated)}
+    start = tuple([rank.get(v, k) for v in range(n)])
 
     def refine(colors, count):
         # Each pass splits classes and keeps their order; a pass that
@@ -476,7 +512,8 @@ def _canonical_search(n, edges):
                 return back
         return depth
 
-    search(*refine((0,) * n, 1), ())
+    search(*refine(start, k + (k < n)), ())
+    gens += _symmetric_generators(n, isolated)
     return (n, best), tuple(gens)
 
 

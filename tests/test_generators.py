@@ -25,8 +25,10 @@ from edgeideals.generators import (
 from edgeideals.graphs import (
     Graph,
     GraphError,
+    _mask_orbit,
     are_isomorphic,
     canonical_key,
+    certificate_conditions_hold,
     is_very_well_covered,
     odd_girth,
 )
@@ -58,6 +60,22 @@ def enumerate_by_keying_every_extension(n, allow_isolated):
         graphs = [G for G in graphs if covered(G)]
     graphs.sort(key=lambda G: (len(G.edges), G.sorted_edges))
     return graphs
+
+
+def matching_relabelings(m):
+    """The 2^m * m! vertex permutations of 2m vertices that map the
+    matching {(2i, 2i+1)} onto itself: permute the blocks, and swap the
+    two ends of any subset of them."""
+    out = []
+    for order in itertools.permutations(range(m)):
+        for swaps in range(1 << m):
+            perm = [0] * (2 * m)
+            for i, j in enumerate(order):
+                s = swaps >> i & 1
+                perm[2 * i] = 2 * j + s
+                perm[2 * i + 1] = 2 * j + 1 - s
+            out.append(tuple(perm))
+    return out
 
 
 class TestBasicFamilies:
@@ -214,12 +232,68 @@ class TestVwcEnumeration:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_relabelings_keep_the_matching(self, m):
-        perms = generators._matching_relabelings(m)
+        # The explicit relabelings keep the matching, and so do the three
+        # generators that stand for them in `enumerate_vwc_graphs`.
+        n = 2 * m
+        perms = matching_relabelings(m)
         assert len(perms) == len(set(perms)) == 2**m * math.factorial(m)
         matching = {frozenset((2 * i, 2 * i + 1)) for i in range(m)}
         for perm in perms:
-            assert sorted(perm) == list(range(2 * m))
+            assert sorted(perm) == list(range(n))
             assert {frozenset(perm[v] for v in e) for e in matching} == matching
+        slots = [u * n + v for u, v in itertools.combinations(range(n), 2)]
+        matching_mask = sum(1 << (2 * i * n + 2 * i + 1) for i in range(m))
+        for slot_map in generators._matching_slot_maps(m):
+            assert sorted(slot_map[slot] for slot in slots) == slots
+            assert _mask_orbit(matching_mask, [slot_map]) == [matching_mask]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_mask_orbits_are_the_explicit_images(self, m):
+        # Every output for m <= 3, and every 31st at m = 4: the orbit
+        # under the generators is the set of images under all 2^m * m!
+        # relabelings.
+        n = 2 * m
+        perms = matching_relabelings(m)
+        slot_maps = generators._matching_slot_maps(m)
+        outputs = list(generators._vwc_search(m))[:: 31 if m == 4 else 1]
+        for edges in outputs:
+            mask = sum(1 << (u * n + v) for u, v in edges)
+            images = set()
+            for perm in perms:
+                image = 0
+                for u, v in edges:
+                    a, b = sorted((perm[u], perm[v]))
+                    image |= 1 << (a * n + b)
+                images.add(image)
+            orbit = _mask_orbit(mask, slot_maps)
+            assert orbit[0] == mask
+            assert len(orbit) == len(set(orbit))
+            assert set(orbit) == images
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_search_against_brute_force(self, m):
+        # Every assignment of patterns to the pairs of blocks (i, t),
+        # taken in order of t, then i, kept when the whole matching
+        # certifies: the same edge sets, in the same order, each
+        # iterating in the same order.
+        matching = [(2 * i, 2 * i + 1) for i in range(m)]
+        pairs = [(i, t) for t in range(m) for i in range(t)]
+        expected = []
+        for patterns in itertools.product(
+            generators._BLOCK_PATTERNS, repeat=len(pairs)
+        ):
+            edges = list(matching)
+            for (i, t), pattern in zip(pairs, patterns):
+                edges += [(2 * i + a, 2 * t + b) for a, b in pattern]
+            adj = [0] * (2 * m)
+            for u, v in edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            if certificate_conditions_hold(adj, matching):
+                expected.append(frozenset(edges))
+        got = list(generators._vwc_search(m))
+        assert got == expected
+        assert [list(E) for E in got] == [list(E) for E in expected]
 
     def test_search_streams(self):
         stream = generators._vwc_search(3)

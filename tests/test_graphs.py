@@ -27,6 +27,7 @@ from edgeideals.graphs import (
     to_edge_list,
     _canonical_search,
     _norm,
+    _orbits,
     _perfect_matchings,
     canonical_key,
 )
@@ -454,6 +455,22 @@ class TestIsomorphism:
             for g in gens:
                 assert sorted(g) == list(range(G.n))
                 assert {_norm(g[u], g[v]) for u, v in G.edges} == G.edges
+
+    def test_isolated_vertices_form_one_orbit(self):
+        # They start individualized, so the generators that permute them
+        # are added, not found by the search.
+        import random
+
+        rng = random.Random(26)
+        G = Graph.from_edges(9, path_graph(4).edges)
+        for _ in range(5):
+            H = relabel(G, rng.sample(range(9), 9))
+            key, gens = _canonical_search(H.n, H.edges)
+            assert key == canonical_key_oracle(H)
+            isolated = set(H.isolated_vertices())
+            assert _orbits((min(isolated),), gens) == isolated
+            for g in gens:
+                assert {_norm(g[u], g[v]) for u, v in H.edges} == H.edges
 
     def test_large_automorphism_groups(self):
         # The unpruned search visits every leaf: K6,6 took about a minute

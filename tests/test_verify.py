@@ -11,6 +11,7 @@ import pytest
 from edgeideals import betti
 from edgeideals.betti import betti_table_lcm
 from edgeideals.generators import FamilySpec, corona, cycle_graph, path_graph
+from edgeideals.graphs import from_edge_list
 from edgeideals.monomials import edge_ideal
 from edgeideals.verify import (
     CHECK_NAMES,
@@ -246,6 +247,12 @@ class TestSweep:
     def test_graph_code_stable(self):
         assert graph_code(path_graph(4)) == graph_code(path_graph(4))
         assert graph_code(path_graph(4)) != graph_code(cycle_graph(4))
+
+    def test_graph_code_of_many_isolated_vertices(self):
+        # The canonical search once individualized isolated vertices one
+        # recursion level each, and n = 1100 raised RecursionError.
+        G = from_edge_list("n 1100\n0 1\n")
+        assert graph_code(G) == "1100:1098-1099"
 
 
 def make_hochster_wrong_on_c5(monkeypatch):
