@@ -208,12 +208,12 @@ def _vwc_search(m):
             if certificate_conditions_hold(adj, matching[: t + 1]):
                 stack.append((0, t + 1, adj, edges))
         else:
+            x, y = 2 * i, 2 * t
             # Pushed in reverse, so that they are taken in pattern order.
             for pattern in reversed(_BLOCK_PATTERNS):
                 if not pattern:
                     stack.append((i + 1, t, adj, edges))
                     continue
-                x, y = 2 * i, 2 * t
                 child = list(adj)
                 added = []
                 for a, b in pattern:
@@ -267,10 +267,10 @@ def enumerate_vwc_graphs(m):
 
 
 def _matching_slot_maps(m):
-    """Three relabelings of 2m vertices that generate those keeping the
-    matching {(2i, 2i+1)}: swap the ends of block 0, swap blocks 0 and 1,
-    and rotate the blocks.  Each is given as the map from a vertex-pair
-    slot u * 2m + v (u < v) to the slot of its image pair."""
+    """At most three relabelings of 2m vertices that generate those
+    keeping the matching {(2i, 2i+1)}: swap the ends of block 0, swap
+    blocks 0 and 1, and rotate the blocks.  Each is given as the map from
+    a vertex-pair slot u * 2m + v (u < v) to the slot of its image pair."""
     n = 2 * m
     perms = [(1, 0, *range(2, n))]
     if m > 1:

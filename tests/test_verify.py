@@ -249,8 +249,8 @@ class TestSweep:
         assert graph_code(path_graph(4)) != graph_code(cycle_graph(4))
 
     def test_graph_code_of_many_isolated_vertices(self):
-        # The canonical search once individualized isolated vertices one
-        # recursion level each, and n = 1100 raised RecursionError.
+        # A valid edge list a sweep may name: isolated vertices must not
+        # cost the canonical search a recursion level each.
         G = from_edge_list("n 1100\n0 1\n")
         assert graph_code(G) == "1100:1098-1099"
 
