@@ -344,6 +344,17 @@ class TestVerify:
                 "lemma_colon_iteration", "--s-values", "3"]
         assert main(argv) == 0
 
+    def test_large_star_is_a_capacity_skip(self, capsys, graph_file):
+        # Naming K1,1200 raised RecursionError: the canonical search took a
+        # frame per leaf.  Its leaves are twins, individualized in one step.
+        argv = ["verify", "--graph", graph_file(complete_bipartite_graph(1, 1200)),
+                "--checks", "katzman", "--format", "json"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert result["verdict"] == "skipped"
+        assert "over capacity" in result["values"]["reason"]
+
     def test_empty_check_list(self, capsys, graph_file):
         # A bare --checks names no check; it does not mean all of them.
         argv = ["verify", "--graph", graph_file(path_graph(4)), "--checks"]

@@ -150,6 +150,13 @@ class TestExhaustiveEnumeration:
                 list(G.edges) for G in expected
             ]
 
+    def test_enumeration_leaves_the_key_memo_empty(self):
+        # Each extension is keyed once, so enumeration keeps its keys out
+        # of the memo that sweeps read repeated instances from.
+        canonical_key.cache_clear()
+        enumerate_all_graphs(6)
+        assert canonical_key.cache_info().currsize == 0
+
     def test_range_validation(self):
         with pytest.raises(GraphError):
             enumerate_all_graphs(0)

@@ -198,6 +198,34 @@ def random_graphs(seed, count, nmax=6):
     return out
 
 
+def complete_multipartite(parts):
+    """The complete multipartite graph with parts of the given sizes."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    return Graph.from_edges(len(part), [
+        (u, v) for u, v in itertools.combinations(range(len(part)), 2)
+        if part[u] != part[v]
+    ])
+
+
+def twin_blowup(rng):
+    """A random graph on at most 4 vertices with each vertex replaced by 1
+    to 3 twins, open (an independent set) or closed (a clique); at most 8
+    vertices in all."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+    while sum(sizes) > 8:
+        sizes.pop()
+    starts = list(itertools.accumulate(sizes, initial=0))
+    blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
+    edges = set()
+    for block in blocks:
+        if rng.random() < 0.5:
+            edges.update(itertools.combinations(block, 2))
+    for a, b in itertools.combinations(blocks, 2):
+        if rng.random() < 0.5:
+            edges.update((u, v) for u in a for v in b)
+    return Graph.from_edges(starts[-1], edges)
+
+
 # ---------------------------------------------------------------------------
 # Construction and parsing.
 # ---------------------------------------------------------------------------
@@ -299,6 +327,14 @@ class TestInducedMatching:
     def test_disjoint_edges(self):
         G = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
         assert induced_matching_number(G) == 3
+
+    def test_long_paths_and_many_edges(self):
+        # A branch and bound over edges took a minute on P60 and six
+        # seconds on C50, and needed a frame per edge of 1500 K2.
+        assert induced_matching_number(path_graph(60)) == 20
+        assert induced_matching_number(cycle_graph(50)) == 16
+        G = Graph.from_edges(3000, [(2 * i, 2 * i + 1) for i in range(1500)])
+        assert induced_matching_number(G) == 1500
 
     def test_against_oracle(self):
         for G in random_graphs(202, 50):
@@ -437,6 +473,19 @@ class TestIsomorphism:
         ]
         graphs += [G for m in range(1, 5) for G in enumerate_vwc_graphs(m)]
         graphs += [corona(cycle_graph(k)) for k in range(5, 12)]
+        # Cells of twins are individualized in one step.
+        graphs += [
+            relabel(H, rng.sample(range(H.n), H.n))
+            for H in (
+                [complete_bipartite_graph(1, b) for b in range(1, 8)]
+                + [complete_bipartite_graph(a, b)
+                   for a in range(2, 5) for b in range(a, 9 - a)]
+                + [complete_multipartite(parts) for parts in (
+                    (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 1, 1, 3),
+                    (2, 3, 3), (1, 2, 2, 3))]
+                + [twin_blowup(rng) for _ in range(60)]
+            )
+        ]
         # Two triangles and a square, and its complement: a search that
         # backs up past the node where two equal leaves part misses the
         # least code on some labellings of these.
@@ -456,26 +505,39 @@ class TestIsomorphism:
                 assert sorted(g) == list(range(G.n))
                 assert {_norm(g[u], g[v]) for u, v in G.edges} == G.edges
 
-    def test_isolated_vertices_form_one_orbit(self):
-        # They start individualized, so the generators that permute them
-        # are added, not found by the search.
+    def test_twin_cells_form_one_orbit(self):
+        # A cell of twins is individualized in one step, so the generators
+        # that permute it are added, not found by the search: isolated
+        # vertices (open twins), the leaves of a star (open twins), a
+        # clique hung on a path (closed twins) and all of K5.
         import random
 
         rng = random.Random(26)
-        G = Graph.from_edges(9, path_graph(4).edges)
-        for _ in range(5):
-            H = relabel(G, rng.sample(range(9), 9))
-            key, gens = _canonical_search(H.n, H.edges)
-            assert key == canonical_key_oracle(H)
-            isolated = set(H.isolated_vertices())
-            assert _orbits((min(isolated),), gens) == isolated
-            for g in gens:
-                assert {_norm(g[u], g[v]) for u, v in H.edges} == H.edges
+        clique = itertools.combinations(range(4, 8), 2)
+        for G, twins in (
+            (Graph.from_edges(9, path_graph(4).edges), range(4, 9)),
+            (complete_bipartite_graph(1, 6), range(1, 7)),
+            (Graph.from_edges(8, [*path_graph(4).edges, *clique,
+                                  *[(3, v) for v in range(4, 8)]]),
+             range(4, 8)),
+            (complete_graph(5), range(5)),
+        ):
+            for _ in range(5):
+                perm = rng.sample(range(G.n), G.n)
+                H = relabel(G, perm)
+                key, gens = _canonical_search(H.n, H.edges)
+                assert key == canonical_key_oracle(H)
+                cell = {perm[v] for v in twins}
+                assert _orbits((min(cell),), gens) == cell
+                for g in gens:
+                    assert {_norm(g[u], g[v]) for u, v in H.edges} == H.edges
 
     def test_large_automorphism_groups(self):
         # The unpruned search visits every leaf: K6,6 took about a minute
         # and K8,8 did not finish.  Pruning by the automorphisms found
-        # keeps each of these well under a second.
+        # keeps each of these well under a second.  K1,1200 needed a frame
+        # per leaf, and raised RecursionError, until its cell of twins was
+        # individualized in one step.
         import random
 
         rng = random.Random(8)
@@ -486,6 +548,7 @@ class TestIsomorphism:
             complete_bipartite_graph(8, 8),
             matching,
             path_and_points,
+            complete_bipartite_graph(1, 1200),
         ):
             H = relabel(G, rng.sample(range(G.n), G.n))
             assert canonical_key(G) == canonical_key(H)
