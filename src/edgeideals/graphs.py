@@ -446,16 +446,14 @@ def _canonical_search(n, edges):
     fix its individualized vertices: that subtree is the image of an
     explored one and holds the same codes.  For the same reason a leaf
     that repeats an earlier code sends the search back to the node where
-    the two leaves' paths part.  A target cell of twins, all with one
-    open or all with one closed neighbourhood (isolated vertices, or a
-    complete graph), is individualized in index order in one step, and a
-    transposition and a cycle of it join the generators: each permutation
-    of the cell fixes the node's path and colouring, and the twins left
-    after one is individualized stay the first non-singleton cell, so
-    the step is the leftmost branch and every sibling is an image of it.
-    The generators are permutations p with p[v] the image of v; they
-    generate a subgroup of Aut(G), the whole group for an edgeless or
-    complete graph.
+    the two leaves' paths part.  A cell of twins (one open or one closed
+    neighbourhood for all, as isolated vertices or a complete graph) is
+    individualized in index order at once, since its permutations fix the
+    path and colouring, and the twins left after one is individualized
+    stay the first non-singleton cell: each sibling branch is an image of
+    this one.  A transposition and a cycle of the cell join the
+    generators, permutations p with p[v] the image of v that generate a
+    subgroup of Aut(G), the whole group for an edgeless or complete graph.
     """
     adj = [set() for _ in range(n)]
     for u, v in edges:
@@ -504,11 +502,10 @@ def _canonical_search(n, edges):
                 d for d, (a, b) in enumerate(zip(first_path, path)) if a != b
             )
         depth = len(path)
-        sizes = [0] * count
-        for c in colors:
-            sizes[c] += 1
-        target = next(c for c in range(count) if sizes[c] > 1)
-        cell = [v for v in range(n) if colors[v] == target]
+        cells = [[] for _ in range(count)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        target, cell = next(x for x in enumerate(cells) if len(x[1]) > 1)
         if (len({frozenset(adj[v]) for v in cell}) == 1
                 or len({frozenset(adj[v] | {v}) for v in cell}) == 1):
             shift = len(cell) - 1
@@ -543,9 +540,8 @@ def _canonical_search(n, edges):
     return (n, best), tuple(gens)
 
 
-# Enumeration's keys never repeat, so it calls `_canonical_search`.  Run
-# alone, criterion 1 makes 44 misses and 105 hits, criterion 8 155 misses;
-# `perfbench` names all 155 before it checks them, so 256 entries.
+# Criterion 1 makes 44 misses and 105 hits; `perfbench` keys criterion 8's
+# 155 graphs twice.  Enumeration's keys never repeat: it bypasses the memo.
 @lru_cache(maxsize=1 << 8)
 def canonical_key(G):
     """A canonical form: the lexicographically least edge encoding over all
