@@ -248,7 +248,8 @@ def induced_matching_number(G):
         nbrs = adj[v] & s
         while nbrs:
             low = nbrs & -nbrs
-            kids.append(drop(s, s & (closed[v] | closed[low.bit_length() - 1])))
+            u = low.bit_length() - 1
+            kids.append(drop(s, s & (closed[v] | closed[u])))
             nbrs ^= low
         stack.append((s, kids))
         stack += [(t, None) for t in kids if t not in nu]
@@ -446,14 +447,13 @@ def _canonical_search(n, edges):
     fix its individualized vertices: that subtree is the image of an
     explored one and holds the same codes.  For the same reason a leaf
     that repeats an earlier code sends the search back to the node where
-    the two leaves' paths part.  A cell of twins (one open or one closed
-    neighbourhood for all, as isolated vertices or a complete graph) is
-    individualized in index order at once, since its permutations fix the
-    path and colouring, and the twins left after one is individualized
-    stay the first non-singleton cell: each sibling branch is an image of
-    this one.  A transposition and a cycle of the cell join the
-    generators, permutations p with p[v] the image of v that generate a
-    subgroup of Aut(G), the whole group for an edgeless or complete graph.
+    the two leaves' paths part.  A cell of twins, with one open or one
+    closed neighbourhood for all, is individualized in index order at
+    once: its permutations fix the path and colouring, and the rest stay
+    the first non-singleton cell once one twin is individualized, so each
+    sibling branch is an image of this one.  A transposition and a cycle
+    of it join the generators, permutations p (p[v] the image of v) that
+    generate a subgroup of Aut(G), all of it for edgeless or complete G.
     """
     adj = [set() for _ in range(n)]
     for u, v in edges:
@@ -508,12 +508,11 @@ def _canonical_search(n, edges):
         target, cell = next(x for x in enumerate(cells) if len(x[1]) > 1)
         if (len({frozenset(adj[v]) for v in cell}) == 1
                 or len({frozenset(adj[v] | {v}) for v in cell}) == 1):
-            shift = len(cell) - 1
-            child = [c + shift * (c > target) for c in colors]
+            child = [c + (len(cell) - 1) * (c > target) for c in colors]
             for i, v in enumerate(cell):
                 child[v] += i
             gens.extend(_symmetric_generators(n, cell))
-            child, count = refine(tuple(child), count + shift)
+            child, count = refine(tuple(child), count + len(cell) - 1)
             return min(depth, search(child, count, path + tuple(cell)))
         stab, known, done = [], 0, set()
         for v in cell:

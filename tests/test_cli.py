@@ -347,8 +347,9 @@ class TestVerify:
     def test_large_star_is_a_capacity_skip(self, capsys, graph_file):
         # Naming K1,1200 raised RecursionError: the canonical search took a
         # frame per leaf.  Its leaves are twins, individualized in one step.
-        argv = ["verify", "--graph", graph_file(complete_bipartite_graph(1, 1200)),
-                "--checks", "katzman", "--format", "json"]
+        star = graph_file(complete_bipartite_graph(1, 1200))
+        argv = ["verify", "--graph", star, "--checks", "katzman",
+                "--format", "json"]
         code, out = run(capsys, argv)
         assert code == 0
         (result,) = json.loads(out)["results"]
