@@ -381,7 +381,7 @@ def _reduce_by_vertex(nvertices, nonfaces):
 
 
 # Restrictions and the pieces reductions leave share this memo.  Each run
-# alone, criterion 8 (all n <= 6) peaks at 14,358 entries, criterion 1 at
+# alone, criterion 8 (all n <= 6) peaks at 14,036 entries, criterion 1 at
 # 15,879.
 @lru_cache(maxsize=1 << 15)
 def component_homology_poly(nvertices, nonfaces):
@@ -465,7 +465,7 @@ def _localize(nonfaces, support=None):
 
 # Every repeat call reads the ideal just polarized: one `betti_table`
 # call reaches it from `_slack_relations`, `lcm_lattice` and Hochster.
-# Seed-1 benchmark passes: 477 hits of 740 calls on `banerjee_small`,
+# Seed-1 benchmark passes: 353 hits of 547 calls on `banerjee_small`,
 # 101 of 190 on `vwc_main_theorem`, and a larger cache hits no more.
 @lru_cache(maxsize=1)
 def polarize(I):
@@ -667,7 +667,7 @@ def _dowker_core(rows, ncols):
         rows = _transpose(kept, len(rows))
 
 
-# Each run alone, criterion 8 (all n <= 6) peaks at 2,333 entries and
+# Each run alone, criterion 8 (all n <= 6) peaks at 2,042 entries and
 # criterion 1 at 1,641.
 @lru_cache(maxsize=1 << 15)
 def _relation_ranks(rows, ncols):
@@ -704,7 +704,7 @@ def _relation_ranks(rows, ncols):
     return _core_ranks(tuple(sorted(core)), len(cols))
 
 
-# Each run alone, criterion 8 peaks at 358 entries and criterion 1 at 69.
+# Each run alone, criterion 8 peaks at 310 entries and criterion 1 at 69.
 # Most relation-memo misses share a core: building the core's faces on
 # every miss instead, seed-1 `vwc_main_theorem` takes 0.132 s a pass on a
 # 2-CPU host against 0.118 s, and `banerjee_small` 0.296 s against 0.285 s.
@@ -784,7 +784,7 @@ def betti_table(I, engines=("lcm", "hochster")):
     return table
 
 
-# Each entry holds a whole ideal.  Criterion 8 (all n <= 6) peaks at 736
+# Each entry holds a whole ideal.  Criterion 8 (all n <= 6) peaks at 568
 # entries, criterion 1 at 62.
 @lru_cache(maxsize=1 << 12)
 def regularity(I):

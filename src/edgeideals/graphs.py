@@ -549,5 +549,16 @@ def canonical_key(G):
     return _canonical_search(G.n, G.edges)[0]
 
 
+def automorphism_generators(G):
+    """Permutations p of 0..n-1 (p[v] the image of v) that generate a
+    subgroup of Aut(G), from the canonical search; ValueError for one
+    that does not map E(G) onto itself."""
+    perms = _canonical_search(G.n, G.edges)[1]
+    for p in perms:
+        if {_norm(p[u], p[v]) for u, v in G.edges} != G.edges:
+            raise ValueError(f"{p} is not an automorphism of the graph")
+    return perms
+
+
 def are_isomorphic(G, H):
     return canonical_key(G) == canonical_key(H)

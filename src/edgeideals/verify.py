@@ -20,7 +20,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -29,6 +28,8 @@ from .betti import CapacityError, EngineDisagreement, regularity
 from .evenconn import colon_graph
 from .graphs import (
     INFINITE,
+    _orbits,
+    automorphism_generators,
     canonical_key,
     induced_matching_number,
     is_very_well_covered,
@@ -277,9 +278,40 @@ def check_vwc_preservation(G, m, k):
     )
 
 
+def _orbit_representatives(gens, perms):
+    """The first member, in `gens` order, of each orbit of the monomials
+    `gens` under the group the vertex permutations `perms` generate,
+    where p sends x_v to x_p[v]; ValueError when a permutation maps a
+    member outside `gens`."""
+    index = {g: i for i, g in enumerate(gens)}
+    index_perms = []
+    for p in perms:
+        inverse = [0] * len(p)
+        for v, w in enumerate(p):
+            inverse[w] = v
+        image = [index.get(tuple([g[v] for v in inverse])) for g in gens]
+        if None in image:
+            raise ValueError(f"{p} maps a generator outside the ideal")
+        index_perms.append(image)
+    reps, seen = [], set()
+    for i, g in enumerate(gens):
+        if i not in seen:
+            reps.append(g)
+            seen |= _orbits((i,), index_perms)
+    return reps
+
+
 def check_banerjee_recursion(G, s):
     """reg(I^{s+1}) <= max( max_l reg((I^{s+1}:m_l)) + 2s, reg(I^s) )
-    over the minimal generators m_l of I^s."""
+    over the minimal generators m_l of I^s.
+
+    An automorphism sigma of G permutes the variables and fixes I, so
+    sigma(I^{s+1} : m) = I^{s+1} : sigma(m): the colons by one
+    Aut(G)-orbit of generators are isomorphic, so the engines give them
+    one regularity or raise alike on all of them.  One colon per orbit
+    is computed, by its first member in `sorted_gens()` order, in that
+    order; the maximum, and the first colon that raises, are those of
+    the loop over every generator."""
     inst = _instance_id(G, s=s)
     name = "banerjee"
     if not G.edges:
@@ -290,7 +322,8 @@ def check_banerjee_recursion(G, s):
     try:
         lhs = regularity(Is1)
         rhs = regularity(Is)
-        for m_l in Is.sorted_gens():
+        gens = Is.sorted_gens()
+        for m_l in _orbit_representatives(gens, automorphism_generators(G)):
             colon = mon.colon_by_monomial(Is1, m_l)
             rhs = max(rhs, regularity(colon) + 2 * s)
     except (CapacityError, EngineDisagreement) as exc:
@@ -503,6 +536,11 @@ def sweep_graphs(spec, graphs, checks, params=None):
             )
     tasks = [(G, i, tuple(checks), params) for i, G in enumerate(graphs)]
     if params.jobs > 1 and len(tasks) > 1:
+        # Imported here, not at the top: `concurrent.futures` and the
+        # `multiprocessing` it loads take about 16 ms of every import of
+        # the package (`python -X importtime`, 2-core host).
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=params.jobs) as pool:
             chunks = list(pool.map(_run_checks_on_instance, tasks))
     else:

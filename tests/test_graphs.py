@@ -15,6 +15,7 @@ from edgeideals.graphs import (
     Graph,
     GraphError,
     are_isomorphic,
+    automorphism_generators,
     certificate_conditions_hold,
     find_vwc_certificate,
     from_edge_list,
@@ -504,6 +505,20 @@ class TestIsomorphism:
             for g in gens:
                 assert sorted(g) == list(range(G.n))
                 assert {_norm(g[u], g[v]) for u, v in G.edges} == G.edges
+
+    def test_automorphism_generators_are_checked(self, monkeypatch):
+        from edgeideals import graphs
+
+        G = cycle_graph(5)
+        perms = automorphism_generators(G)
+        assert _orbits((0,), perms) == set(range(5))
+        # A transposition of two neighbours on the cycle moves its edges.
+        monkeypatch.setattr(
+            graphs, "_canonical_search",
+            lambda n, edges: (None, ((1, 0, 2, 3, 4),)),
+        )
+        with pytest.raises(ValueError, match="not an automorphism"):
+            automorphism_generators(G)
 
     def test_twin_cells_form_one_orbit(self):
         # A cell of twins is individualized in one step, so the generators

@@ -5,18 +5,34 @@ disagreements recorded as errors."""
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
-from edgeideals import betti
-from edgeideals.betti import betti_table_lcm
-from edgeideals.generators import FamilySpec, corona, cycle_graph, path_graph
+import edgeideals
+from edgeideals import betti, verify
+from edgeideals import monomials as mon
+from edgeideals.betti import CapacityError, EngineDisagreement, betti_table_lcm
+from edgeideals.generators import (
+    FamilySpec,
+    complete_graph,
+    corona,
+    cycle_graph,
+    enumerate_all_graphs,
+    path_graph,
+)
 from edgeideals.graphs import from_edge_list
 from edgeideals.monomials import edge_ideal
 from edgeideals.verify import (
     CHECK_NAMES,
     CheckResult,
     SweepParams,
+    _instance_id,
+    _orbit_representatives,
+    _skipped,
+    _unanswered,
     check_banerjee_recursion,
     check_bht_lower_bound,
     check_colon_squarefree_and_oddgirth,
@@ -125,6 +141,80 @@ class TestIndividualChecks:
         assert check_banerjee_recursion(cycle_graph(5), 1).verdict == "pass"
 
 
+def banerjee_by_every_generator(G, s):
+    """The Banerjee check with one colon for every generator of I^s, the
+    reference for the walk over one generator per Aut(G)-orbit.  It reads
+    `verify.regularity` at call time, as the check does."""
+    inst = _instance_id(G, s=s)
+    if not G.edges:
+        return _skipped("banerjee", inst, "no edges")
+    I = edge_ideal(G)
+    Is, Is1 = mon.power(I, s), mon.power(I, s + 1)
+    try:
+        lhs = verify.regularity(Is1)
+        rhs = verify.regularity(Is)
+        for m_l in Is.sorted_gens():
+            colon = mon.colon_by_monomial(Is1, m_l)
+            rhs = max(rhs, verify.regularity(colon) + 2 * s)
+    except (CapacityError, EngineDisagreement) as exc:
+        return _unanswered("banerjee", inst, exc)
+    verdict = "pass" if lhs <= rhs else "fail"
+    return CheckResult("banerjee", inst, verdict, {"lhs": lhs, "rhs": rhs})
+
+
+class TestBanerjeeOrbits:
+    def test_equals_every_generator(self):
+        # Skip reasons included: edgeless graphs, and I^3 over both
+        # engines' capacity on a dense graph at s = 2.
+        for s, nmax in ((1, 6), (2, 5)):
+            for n in range(1, nmax + 1):
+                for G in enumerate_all_graphs(n, allow_isolated=True):
+                    assert check_banerjee_recursion(G, s) == (
+                        banerjee_by_every_generator(G, s)
+                    )
+
+    def test_first_colon_over_capacity_names_the_skip(self, monkeypatch):
+        # A fake cap on the colons with a square x_u^2, by edges in a
+        # triangle, naming the colon's generator count: the first orbit
+        # over it must give the reason the first generator over it gave.
+        regularity = verify.regularity
+
+        def capped(I):
+            degrees = {mon.degree(g) for g in I.gens}
+            if degrees == {2} and not I.is_squarefree:
+                raise CapacityError(f"{len(I.gens)} generators, a test cap")
+            return regularity(I)
+
+        monkeypatch.setattr(verify, "regularity", capped)
+        reasons = set()
+        for n in range(3, 6):
+            for G in enumerate_all_graphs(n):
+                res = check_banerjee_recursion(G, 1)
+                assert res == banerjee_by_every_generator(G, 1)
+                reasons.add(res.values.get("reason"))
+        assert len(reasons - {None}) > 1
+
+    @pytest.mark.parametrize("G", [complete_graph(4), cycle_graph(5)])
+    def test_edge_transitive_graphs_take_one_colon(self, G, monkeypatch):
+        colon_by_monomial = mon.colon_by_monomial
+        calls = []
+
+        def counted(I, m):
+            calls.append(m)
+            return colon_by_monomial(I, m)
+
+        monkeypatch.setattr(mon, "colon_by_monomial", counted)
+        assert check_banerjee_recursion(G, 1).verdict == "pass"
+        assert len(calls) == 1
+
+    def test_a_permutation_off_the_ideal_raises(self):
+        # Swapping the ends of P3's first edge sends x1*x2 to x0*x2.
+        gens = edge_ideal(path_graph(3)).sorted_gens()
+        assert _orbit_representatives(gens, [(2, 1, 0)]) == gens[:1]
+        with pytest.raises(ValueError, match="outside the ideal"):
+            _orbit_representatives(gens, [(1, 0, 2)])
+
+
 class TestSweepParams:
     @pytest.mark.parametrize(
         "given, message",
@@ -195,13 +285,28 @@ class TestSweep:
 
     def test_jobs_parallel_equals_serial(self):
         spec = FamilySpec(kind="named", names=("P4", "C5", "C4", "C7"))
-        serial = run_sweep(
-            spec, ["katzman", "bht"], SweepParams(s_values=(1,), jobs=1)
-        )
+        checks = ["katzman", "bht", "banerjee"]
+        serial = run_sweep(spec, checks, SweepParams(s_values=(1,), jobs=1))
         parallel = run_sweep(
-            spec, ["katzman", "bht"], SweepParams(s_values=(1,), jobs=2)
+            spec, checks, SweepParams(s_values=(1,), jobs=2)
         )
         assert serial.to_json() == parallel.to_json()
+
+    def test_import_loads_no_process_pool(self):
+        # The pool is imported by a sweep with jobs > 1, not by every
+        # interpreter that imports the package.
+        src = os.path.dirname(os.path.dirname(edgeideals.__file__))
+        code = (
+            "import sys, edgeideals\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'}"
+            " & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_edgeless_graph_has_no_multisets(self):
         # As at s <= 2, a graph without edges gives no colon checks at
