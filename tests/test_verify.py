@@ -169,9 +169,8 @@ class TestBanerjeeOrbits:
         for s, nmax in ((1, 6), (2, 5)):
             for n in range(1, nmax + 1):
                 for G in enumerate_all_graphs(n, allow_isolated=True):
-                    assert check_banerjee_recursion(G, s) == (
-                        banerjee_by_every_generator(G, s)
-                    )
+                    expected = banerjee_by_every_generator(G, s)
+                    assert check_banerjee_recursion(G, s) == expected
 
     def test_first_colon_over_capacity_names_the_skip(self, monkeypatch):
         # A fake cap on the colons with a square x_u^2, by edges in a
