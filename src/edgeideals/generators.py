@@ -1,18 +1,18 @@
 """Graph families for the verification harness.
 
 Three sources: exhaustive small graphs up to isomorphism, very
-well-covered graphs generated certificate-first from a fixed perfect
-matching, and named families (paths, cycles, complete graphs, coronas).
+well-covered graphs grown block by block around a fixed perfect matching,
+and named families (paths, cycles, complete graphs, coronas).
 
-Certificate-first means the perfect matching {x_i, y_i} is fixed up
-front and only cross edges vary; the matching conditions
+The perfect matching {x_i, y_i} is fixed up front and only cross edges
+vary; the matching conditions (Favaron, Discrete Math. 42, 1982)
 
   (i)  no matching edge lies in a triangle,
   (ii) the ends of any length-3 path whose central edge is a matching
        edge are adjacent,
 
-prune the search, and the independent recognizer re-checks every emitted
-graph.  The constructor is never trusted.
+decide which extensions are kept, and the independent recognizer
+re-checks every emitted graph.  The constructor is never trusted.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def enumerate_all_graphs(n, allow_isolated=False):
 
 
 # ---------------------------------------------------------------------------
-# Very well-covered graphs, certificate-first.
+# Very well-covered graphs, by block augmentation.
 # ---------------------------------------------------------------------------
 
 # Cross-edge slots between matched pairs (x_i, y_i) and (x_j, y_j):
@@ -186,81 +186,78 @@ _BLOCK_PATTERNS = (
 )
 
 
-def _vwc_search(m):
-    """All cross-edge assignments whose fixed matching certifies; yields
-    frozensets of edges on 2m labeled vertices, one at a time.
-
-    A depth-first walk over a stack of steps (i, t), taken in order of
-    t, then i.  Step (i, t) with i < t gives blocks i and t each pattern
-    in turn; step (t, t) certifies blocks 0..t, whose induced subgraph is
-    final, so a violated condition there can never be repaired later."""
-    matching = [(2 * i, 2 * i + 1) for i in range(m)]
-    base = [0] * (2 * m)
-    for x, y in matching:
-        base[x] |= 1 << y
-        base[y] |= 1 << x
-    stack = [(0, 1, base, matching)]
-    while stack:
-        i, t, adj, edges = stack.pop()
-        if t == m:
-            yield frozenset(edges)
-        elif i == t:
-            if certificate_conditions_hold(adj, matching[: t + 1]):
-                stack.append((0, t + 1, adj, edges))
-        else:
-            x, y = 2 * i, 2 * t
-            # Pushed in reverse, so that they are taken in pattern order.
-            for pattern in reversed(_BLOCK_PATTERNS):
-                if not pattern:
-                    stack.append((i + 1, t, adj, edges))
-                    continue
-                child = list(adj)
-                added = []
-                for a, b in pattern:
-                    child[x + a] |= 1 << (y + b)
-                    child[y + b] |= 1 << (x + a)
-                    added.append((x + a, y + b))
-                # Early triangle check on the two touched blocks.
-                if not (child[x] & child[x + 1] or child[y] & child[y + 1]):
-                    stack.append((i + 1, t, child, edges + added))
-
-
 def enumerate_vwc_graphs(m):
     """Very well-covered graphs on 2m vertices, one per isomorphism class,
     sorted by edge count, then edge list.  Every emitted graph is
     re-checked by the independent recognizer.
 
-    Each class is represented by the first output of `_vwc_search(m)`
-    that falls in it.  A relabeling that keeps the fixed matching maps
-    every output to an isomorphic edge set, so once an output has been
-    keyed, its orbit under those 2^m * m! relabelings is marked and
-    skipped without a `canonical_key` call.  Skipping is sound: the
-    first output of a class could be marked only as the image of an
-    earlier output, which would lie in the same class.  Marks are edge
-    bitmasks over the vertex-pair slots u * 2m + v (u < v), walked by
-    `_mask_orbit` under three generators of the relabelings; each is
-    dropped once reached, since the search yields every edge set once."""
+    Built by block augmentation (McKay, J. Algorithms 26, 1998): level
+    t + 1 extends each representative on t blocks, in the order found,
+    by the block (2t, 2t + 1) and each of the 7^t assignments of
+    `_BLOCK_PATTERNS` between it and blocks 0..t-1, in `itertools.product`
+    order.  An extension whose matching certifies is kept unless marked,
+    and its orbit under the relabelings that keep the matching is marked.
+    Marks are edge bitmasks over the vertex-pair slots u * 2(t+1) + v
+    (u < v), walked by `_mask_orbit`; each is dropped once reached, since
+    no labelled extension is produced twice.  This is sound:
+
+    1. Removing a block leaves the matching certifying, since conditions
+       (i) and (ii) pass to induced subgraphs.
+    2. If v has two certifying partners y and z, they are false twins:
+       a path z-v-y-w puts w in N(z), so N(y) = N(z), and y, z are not
+       adjacent, as v-y lies in no triangle.  The swap (y z) is then an
+       automorphism, so a graph's certifying matchings form one
+       Aut(G)-orbit, and each isomorphism class meets the graphs that
+       the fixed matching certifies in one orbit of its relabelings.
+    3. So the least member of a class, ordered by pattern vector in step
+       order (blocks t, then i), restricts to the least member of its
+       restriction's class.  Representatives are found in that order,
+       so the first extension that reaches a class is its least member,
+       which is the class's first certifying assignment in that order.
+
+    Each graph's edge frozenset is grown from the matching edges, then
+    the cross edges in step order: the checks' costs follow its
+    iteration order."""
     if not 1 <= m <= 5:
         raise GraphError(f"vwc enumeration supports 1 <= m <= 5, got {m}")
-    n = 2 * m
-    slot_maps = _matching_slot_maps(m)
+    matching = [(2 * i, 2 * i + 1) for i in range(m)]
+    reps = [[]]  # the cross edges of each representative, in step order
+    for t in range(1, m):
+        n = 2 * t + 2
+        slot_maps = _matching_slot_maps(t + 1)
+        marked = set()
+        new = []
+        for cross in reps:
+            base, base_mask = [0] * n, 0
+            for u, v in matching[: t + 1] + cross:
+                base[u] |= 1 << v
+                base[v] |= 1 << u
+                base_mask |= 1 << (u * n + v)
+            for patterns in itertools.product(_BLOCK_PATTERNS, repeat=t):
+                adj, mask, added = list(base), base_mask, []
+                for i, pattern in enumerate(patterns):
+                    for a, b in pattern:
+                        u, v = 2 * i + a, 2 * t + b
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+                        mask |= 1 << (u * n + v)
+                        added.append((u, v))
+                # A marked mask is the image of a kept one, so it certifies.
+                if mask in marked:
+                    marked.discard(mask)
+                elif certificate_conditions_hold(adj, matching[: t + 1]):
+                    marked.update(_mask_orbit(mask, slot_maps)[1:])
+                    new.append(cross + added)
+        reps = new
     seen = {}
-    marked = set()
-    for edges in _vwc_search(m):
-        mask = 0
-        for u, v in edges:
-            mask |= 1 << (u * n + v)
-        if mask in marked:
-            marked.discard(mask)
-            continue
-        G = Graph(n, edges)
+    for cross in reps:
+        G = Graph(2 * m, frozenset(matching + cross))
         seen.setdefault(canonical_key(G), G)
-        marked.update(_mask_orbit(mask, slot_maps)[1:])
     graphs = sorted(seen.values(), key=lambda G: (len(G.edges), G.sorted_edges))
     for G in graphs:
         if not is_very_well_covered(G):
             raise AssertionError(
-                f"certificate-first construction emitted a non-vwc graph: "
+                f"block augmentation emitted a non-vwc graph: "
                 f"{G.sorted_edges}"
             )
     return graphs

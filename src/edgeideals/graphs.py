@@ -256,8 +256,8 @@ def induced_matching_number(G):
     return nu[top]
 
 
-def maximal_independent_sets(G):
-    """All inclusion-maximal independent sets, in lexicographic order.
+def _maximal_independent_masks(G):
+    """Yield the inclusion-maximal independent sets as vertex bitmasks.
 
     These are the maximal cliques of the complement graph; enumerated by
     Bron-Kerbosch with pivoting on bitmasks, on an explicit stack so that
@@ -266,17 +266,14 @@ def maximal_independent_sets(G):
     they are set aside first.
     """
     n = G.n
-    if n == 0:
-        return [()]
     full = (1 << n) - 1
     isolated = sum(1 << v for v in range(n) if not G.adj_mask[v])
     cadj = [full & ~(G.adj_mask[v] | (1 << v)) for v in range(n)]
-    out = []
     stack = [(isolated, full ^ isolated, 0)]
     while stack:
         r, p, x = stack.pop()
         if not p and not x:
-            out.append(r)
+            yield r
             continue
         # Pivot: the vertex of p | x with the most complement-neighbours
         # in p, lowest index on ties; only the set bits of p | x are read.
@@ -297,44 +294,31 @@ def maximal_independent_sets(G):
             p &= ~vbit
             x |= vbit
             cand &= ~vbit
-    sets = [tuple(v for v in range(n) if (mask >> v) & 1) for mask in out]
-    return sorted(sets)
+
+
+def maximal_independent_sets(G):
+    """All inclusion-maximal independent sets, in lexicographic order."""
+    return sorted(
+        tuple(v for v in range(G.n) if (mask >> v) & 1)
+        for mask in _maximal_independent_masks(G)
+    )
 
 
 def is_unmixed(G):
-    """True iff every maximal independent set has the same size."""
-    sizes = {len(s) for s in maximal_independent_sets(G)}
-    return len(sizes) <= 1
+    """True iff every maximal independent set has the same size; stops at
+    a second size."""
+    sizes = map(int.bit_count, _maximal_independent_masks(G))
+    first = next(sizes)
+    return all(size == first for size in sizes)
 
 
 def is_very_well_covered(G):
     """True iff n is even and positive, no vertex is isolated, and every
-    maximal independent set has size exactly n/2."""
-    if G.n == 0 or G.n % 2:
+    maximal independent set has size exactly n/2; stops at another size."""
+    if G.n == 0 or G.n % 2 or G.isolated_vertices():
         return False
-    if G.isolated_vertices():
-        return False
-    return all(len(s) == G.n // 2 for s in maximal_independent_sets(G))
-
-
-def _perfect_matchings(G):
-    """Yield perfect matchings as sorted tuples of edges, lexicographically."""
-    if G.n % 2:
-        return
-
-    def rec(covered, acc):
-        if covered == (1 << G.n) - 1:
-            yield tuple(acc)
-            return
-        v = next(w for w in range(G.n) if not (covered >> w) & 1)
-        for u in sorted(G.adj[v]):
-            if (covered >> u) & 1:
-                continue
-            acc.append(_norm(v, u))
-            yield from rec(covered | (1 << v) | (1 << u), acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    sizes = map(int.bit_count, _maximal_independent_masks(G))
+    return all(size == G.n // 2 for size in sizes)
 
 
 def certificate_conditions_hold(adj, matching):
@@ -371,17 +355,29 @@ def matching_certificate_ok(G, matching):
 
 
 def find_vwc_certificate(G):
-    """Search for a perfect matching certifying very-well-coveredness.
-
-    Returns the lexicographically first perfect matching satisfying both
+    """The lexicographically first perfect matching satisfying both
     conditions of certificate_conditions_hold, or None.
+
+    Each lowest unmatched vertex v takes its least unmatched partner u
+    whose edge passes the conditions.  The greedy choice is exact: two
+    such partners y and z of v are false twins (a path z-v-y-w makes w
+    adjacent to z, and v-y lies in no triangle), so the swap (y z) maps a
+    certifying matching through (v, z) onto one through (v, y).
     """
     if G.n == 0 or G.n % 2 or G.isolated_vertices():
         return None
-    for M in _perfect_matchings(G):
-        if matching_certificate_ok(G, M):
-            return M
-    return None
+    matching, free = [], (1 << G.n) - 1
+    while free:
+        v = (free & -free).bit_length() - 1
+        for u in sorted(G.adj[v]):
+            if free >> u & 1 and certificate_conditions_hold(
+                    G.adj_mask, [(v, u)]):
+                break
+        else:
+            return None
+        free &= ~(1 << v | 1 << u)
+        matching.append((v, u))
+    return tuple(matching)
 
 
 def _orbits(points, perms):
@@ -540,20 +536,25 @@ def _canonical_search(n, edges):
 
 
 # Criterion 1 makes 44 misses and 105 hits; `perfbench` keys criterion 8's
-# 155 graphs twice.  Enumeration's keys never repeat: it bypasses the memo.
+# 155 graphs twice, and the Banerjee check reads their generators too.
+# Enumeration's keys never repeat: it bypasses the memo.
 @lru_cache(maxsize=1 << 8)
+def _canonical_memo(G):
+    return _canonical_search(G.n, G.edges)
+
+
 def canonical_key(G):
     """A canonical form: the lexicographically least edge encoding over all
     vertex orderings compatible with iterated color refinement.  Two graphs
     are isomorphic iff their canonical keys are equal."""
-    return _canonical_search(G.n, G.edges)[0]
+    return _canonical_memo(G)[0]
 
 
 def automorphism_generators(G):
     """Permutations p of 0..n-1 (p[v] the image of v) that generate a
     subgroup of Aut(G), from the canonical search; ValueError for one
     that does not map E(G) onto itself."""
-    perms = _canonical_search(G.n, G.edges)[1]
+    perms = _canonical_memo(G)[1]
     for p in perms:
         if {_norm(p[u], p[v]) for u, v in G.edges} != G.edges:
             raise ValueError(f"{p} is not an automorphism of the graph")

@@ -1,8 +1,11 @@
-"""Generator tests: exhaustive enumeration counts, certificate-first
-very-well-covered search cross-checked against filtering, determinism."""
+"""Generator tests: exhaustive enumeration counts, very-well-covered
+block augmentation cross-checked against filtering and a brute force,
+determinism."""
 
-import inspect
+import functools
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -22,6 +25,7 @@ from edgeideals.generators import (
     random_graph,
     random_vwc_graph,
 )
+from edgeideals import graphs
 from edgeideals.graphs import (
     Graph,
     GraphError,
@@ -60,6 +64,29 @@ def enumerate_by_keying_every_extension(n, allow_isolated):
         graphs = [G for G in graphs if covered(G)]
     graphs.sort(key=lambda G: (len(G.edges), G.sorted_edges))
     return graphs
+
+
+@functools.cache
+def certifying_assignments(m):
+    """Every assignment of patterns to the pairs of blocks (i, t), taken
+    in order of t, then i, kept when the whole matching certifies; each
+    as an edge frozenset grown from the matching, then the cross edges."""
+    matching = [(2 * i, 2 * i + 1) for i in range(m)]
+    pairs = [(i, t) for t in range(m) for i in range(t)]
+    out = []
+    for patterns in itertools.product(
+        generators._BLOCK_PATTERNS, repeat=len(pairs)
+    ):
+        edges = list(matching)
+        for (i, t), pattern in zip(pairs, patterns):
+            edges += [(2 * i + a, 2 * t + b) for a, b in pattern]
+        adj = [0] * (2 * m)
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        if certificate_conditions_hold(adj, matching):
+            out.append(frozenset(edges))
+    return tuple(out)
 
 
 def matching_relabelings(m):
@@ -153,9 +180,9 @@ class TestExhaustiveEnumeration:
     def test_enumeration_leaves_the_key_memo_empty(self):
         # Each extension is keyed once, so enumeration keeps its keys out
         # of the memo that sweeps read repeated instances from.
-        canonical_key.cache_clear()
+        graphs._canonical_memo.cache_clear()
         enumerate_all_graphs(6)
-        assert canonical_key.cache_info().currsize == 0
+        assert graphs._canonical_memo.cache_info().currsize == 0
 
     def test_range_validation(self):
         with pytest.raises(GraphError):
@@ -213,18 +240,6 @@ class TestVwcEnumeration:
         spec = FamilySpec(kind="exhaustive-vwc", m=3, odd_girth_min=5)
         assert spec.instances() == got
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_representatives_against_keying_every_output(self, m):
-        # Reference: key every labelled output; the first of each class
-        # represents it.
-        reps = {}
-        for edges in generators._vwc_search(m):
-            G = Graph(2 * m, edges)
-            reps.setdefault(canonical_key(G), G)
-        order = lambda G: (len(G.edges), G.sorted_edges)
-        expected = [G.sorted_edges for G in sorted(reps.values(), key=order)]
-        assert [G.sorted_edges for G in enumerate_vwc_graphs(m)] == expected
-
     def test_one_canonical_key_per_class(self, monkeypatch):
         # Keying every labelled output costs 3,129 calls at m = 4.
         calls = []
@@ -256,13 +271,13 @@ class TestVwcEnumeration:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_mask_orbits_are_the_explicit_images(self, m):
-        # Every output for m <= 3, and every 31st at m = 4: the orbit
-        # under the generators is the set of images under all 2^m * m!
-        # relabelings.
+        # Every certifying assignment for m <= 3, and every 31st at m = 4:
+        # the orbit under the generators is the set of images under all
+        # 2^m * m! relabelings.
         n = 2 * m
         perms = matching_relabelings(m)
         slot_maps = generators._matching_slot_maps(m)
-        outputs = list(generators._vwc_search(m))[:: 31 if m == 4 else 1]
+        outputs = certifying_assignments(m)[:: 31 if m == 4 else 1]
         for edges in outputs:
             mask = sum(1 << (u * n + v) for u, v in edges)
             images = set()
@@ -279,33 +294,27 @@ class TestVwcEnumeration:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_search_against_brute_force(self, m):
-        # Every assignment of patterns to the pairs of blocks (i, t),
-        # taken in order of t, then i, kept when the whole matching
-        # certifies: the same edge sets, in the same order, each
-        # iterating in the same order.
-        matching = [(2 * i, 2 * i + 1) for i in range(m)]
-        pairs = [(i, t) for t in range(m) for i in range(t)]
-        expected = []
-        for patterns in itertools.product(
-            generators._BLOCK_PATTERNS, repeat=len(pairs)
-        ):
-            edges = list(matching)
-            for (i, t), pattern in zip(pairs, patterns):
-                edges += [(2 * i + a, 2 * t + b) for a, b in pattern]
-            adj = [0] * (2 * m)
-            for u, v in edges:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            if certificate_conditions_hold(adj, matching):
-                expected.append(frozenset(edges))
-        got = list(generators._vwc_search(m))
-        assert got == expected
-        assert [list(E) for E in got] == [list(E) for E in expected]
+        # Reference: key every certifying assignment; the first of each
+        # class represents it.  The same edge sets, in the same order,
+        # each iterating in the same order.
+        reps = {}
+        for edges in certifying_assignments(m):
+            G = Graph(2 * m, edges)
+            reps.setdefault(canonical_key(G), G)
+        order = lambda G: (len(G.edges), G.sorted_edges)
+        expected = [list(G.edges) for G in sorted(reps.values(), key=order)]
+        assert [list(G.edges) for G in enumerate_vwc_graphs(m)] == expected
 
-    def test_search_streams(self):
-        stream = generators._vwc_search(3)
-        assert inspect.isgenerator(stream)
-        assert isinstance(next(stream), frozenset)
+    def test_m5_digest(self):
+        # The 151 classes at m = 5, edge iteration order included, as the
+        # filtered depth-first search over every certifying assignment
+        # gave them.
+        dump = json.dumps(
+            [[list(e) for e in G.edges] for G in enumerate_vwc_graphs(5)]
+        )
+        assert hashlib.sha256(dump.encode()).hexdigest() == (
+            "9dfef1c14a64a97693f13b6b55d60eb42a7b1dd66dbf5e17282e7c6873eefb96"
+        )
 
     def test_random_vwc(self):
         for seed in range(5):

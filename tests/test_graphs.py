@@ -29,9 +29,9 @@ from edgeideals.graphs import (
     _canonical_search,
     _norm,
     _orbits,
-    _perfect_matchings,
     canonical_key,
 )
+from edgeideals import graphs
 from edgeideals.generators import (
     complete_bipartite_graph,
     complete_graph,
@@ -111,6 +111,33 @@ def oracle_certificate_conditions(G, matching):
                 if not G.has_edge(z, w):
                     return False
     return True
+
+
+def oracle_perfect_matchings(G):
+    """Perfect matchings as tuples of sorted edges, lexicographically."""
+
+    def rec(free):
+        if not free:
+            yield ()
+            return
+        v = min(free)
+        for u in sorted(G.adj[v] & free):
+            for rest in rec(free - {v, u}):
+                yield ((v, u),) + rest
+
+    yield from rec(frozenset(range(G.n)))
+
+
+def oracle_vwc_certificate(G):
+    """The lexicographically first perfect matching that certifies, by
+    trying every perfect matching in turn."""
+    if G.n == 0 or G.n % 2 or G.isolated_vertices():
+        return None
+    return next(
+        (M for M in oracle_perfect_matchings(G)
+         if matching_certificate_ok(G, M)),
+        None,
+    )
 
 
 def canonical_key_oracle(G):
@@ -396,6 +423,34 @@ class TestIndependentSets:
         assert not is_very_well_covered(complete_graph(4))
         assert is_very_well_covered(corona(cycle_graph(5)))
 
+    def test_recognizers_against_oracle(self):
+        for n in range(1, 8):
+            for G in enumerate_all_graphs(n, allow_isolated=True):
+                sizes = {len(s) for s in oracle_maximal_independent_sets(G)}
+                assert is_unmixed(G) == (len(sizes) == 1)
+                assert is_very_well_covered(G) == (
+                    n % 2 == 0 and not G.isolated_vertices()
+                    and sizes == {n // 2}
+                )
+
+    def test_recognizers_stop_early(self, monkeypatch):
+        # P200 and C600 have too many maximal independent sets to list;
+        # listing them all had not finished on P200 after two minutes.
+        drawn = []
+        masks = graphs._maximal_independent_masks
+
+        def counting(G):
+            for mask in masks(G):
+                drawn.append(mask)
+                yield mask
+
+        monkeypatch.setattr(graphs, "_maximal_independent_masks", counting)
+        for G in (path_graph(200), cycle_graph(600)):
+            for recognizer in (is_very_well_covered, is_unmixed):
+                drawn.clear()
+                assert not recognizer(G)
+                assert 0 < len(drawn) <= 4
+
     def test_vwc_rejects_isolated_vertices(self):
         assert not is_very_well_covered(Graph.from_edges(4, [(0, 1)]))
 
@@ -418,10 +473,37 @@ class TestCertificates:
     def test_conditions_against_oracle(self):
         # Every perfect matching of every small random graph.
         for G in random_graphs(303, 80):
-            for M in _perfect_matchings(G):
+            for M in oracle_perfect_matchings(G):
                 assert certificate_conditions_hold(G.adj_mask, M) == (
                     oracle_certificate_conditions(G, M)
                 )
+
+    def test_greedy_against_the_exhaustive_search(self):
+        # Every graph on at most seven vertices, relabelled very
+        # well-covered graphs (several certifying matchings each) and
+        # random graphs on at most eight vertices.
+        import random
+
+        rng = random.Random(31)
+        cases = [
+            G for n in range(1, 8)
+            for G in enumerate_all_graphs(n, allow_isolated=True)
+        ]
+        cases += [
+            relabel(G, rng.sample(range(G.n), G.n))
+            for m in range(1, 5) for G in enumerate_vwc_graphs(m)
+            for _ in range(3)
+        ]
+        cases += random_graphs(707, 300, nmax=8)
+        for G in cases:
+            assert find_vwc_certificate(G) == oracle_vwc_certificate(G)
+
+    def test_long_inputs(self):
+        # Trying every perfect matching in turn raised RecursionError on
+        # P2000 and had not finished on corona(P1200) after 100 s.
+        assert find_vwc_certificate(path_graph(2000)) is None
+        pendants = tuple((v, 1200 + v) for v in range(1200))
+        assert find_vwc_certificate(corona(path_graph(1200))) == pendants
 
     def test_characterization_matches_recognizer(self):
         # The certificate exists exactly for very well-covered graphs.
@@ -507,18 +589,22 @@ class TestIsomorphism:
                 assert {_norm(g[u], g[v]) for u, v in G.edges} == G.edges
 
     def test_automorphism_generators_are_checked(self, monkeypatch):
-        from edgeideals import graphs
-
         G = cycle_graph(5)
         perms = automorphism_generators(G)
         assert _orbits((0,), perms) == set(range(5))
         # A transposition of two neighbours on the cycle moves its edges.
+        # The memo is cleared before and after, so that the patched search
+        # answers and its result is not kept.
         monkeypatch.setattr(
             graphs, "_canonical_search",
             lambda n, edges: (None, ((1, 0, 2, 3, 4),)),
         )
-        with pytest.raises(ValueError, match="not an automorphism"):
-            automorphism_generators(G)
+        graphs._canonical_memo.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="not an automorphism"):
+                automorphism_generators(G)
+        finally:
+            graphs._canonical_memo.cache_clear()
 
     def test_twin_cells_form_one_orbit(self):
         # A cell of twins is individualized in one step, so the generators

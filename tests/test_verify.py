@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import edgeideals
-from edgeideals import betti, verify
+from edgeideals import betti, graphs, verify
 from edgeideals import monomials as mon
 from edgeideals.betti import CapacityError, EngineDisagreement, betti_table_lcm
 from edgeideals.generators import (
@@ -205,6 +205,23 @@ class TestBanerjeeOrbits:
         monkeypatch.setattr(mon, "colon_by_monomial", counted)
         assert check_banerjee_recursion(G, 1).verdict == "pass"
         assert len(calls) == 1
+
+    def test_one_canonical_search_per_graph(self, monkeypatch):
+        # The instance id and the automorphisms of the orbit walk read
+        # one memo entry, so the graph is searched once.
+        search = graphs._canonical_search
+        calls = []
+
+        def counted(n, edges):
+            calls.append(edges)
+            return search(n, edges)
+
+        monkeypatch.setattr(graphs, "_canonical_search", counted)
+        graphs._canonical_memo.cache_clear()
+        G = cycle_graph(5)
+        graph_code(G)
+        assert check_banerjee_recursion(G, 1).verdict == "pass"
+        assert calls == [G.edges]
 
     def test_a_permutation_off_the_ideal_raises(self):
         # Swapping the ends of P3's first edge sends x1*x2 to x0*x2.
