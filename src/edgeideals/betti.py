@@ -16,7 +16,7 @@ Dowker pair with two homotopy equivalent complexes: the crosscut complex
 on the atoms (the nerve of the slack masks, homotopy equivalent to the
 interval's order complex) and the upper Koszul complex K^m(I) on the
 variables of m (Miller-Sturmfels, Thm 1.34).  The relation is read off
-the polarized masks (`_slack_relations`): the atoms by one OR of
+the polarized masks (`_slack_relation`): the atoms by one OR of
 precomputed generator sets per variable that the element's mask stops
 short of, and each atom's row as the element's top copies missing from
 the atom's mask, compressed onto supp(m).  The homology is memoized on
@@ -34,6 +34,17 @@ homology stays independent of Hochster: it works on the unpolarized
 support of m, while Hochster restricts the polarized Stanley-Reisner
 complex, and for squarefree m, K^m is the Alexander dual of Hochster's
 restriction; Hochster reads neither the relation nor the core memo.
+
+Orbit sum: a vertex permutation fixing I, such as an automorphism of G
+for I = I(G)^s, permutes the polarized bits (copy c of v to copy c of
+its image) and with them the lattice, and maps the interval below w onto
+the interval below its image, so the two have the same homology
+(Gasharov-Peeva-Welker, The lcm-lattice in monomial resolutions, Math.
+Res. Lett. 6, 1999).  Given such permutations, each checked to fix I,
+the lcm engine reads one relation per orbit of the lattice and weights
+its ranks by the orbit's size.  Hochster ignores them and keeps its full
+sweep, so wherever both engines answer, its table referees the orbit
+sum as well as the reductions.
 
 Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
@@ -82,9 +93,11 @@ memos are bounded `lru_cache`s; `cache_info()` reads their hits.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import or_
 
 from . import monomials as mon
+from .graphs import _mask_orbit
 from .homology import faces_from_nonfaces, reduced_homology_ranks
 
 
@@ -464,9 +477,10 @@ def _localize(nonfaces, support=None):
 
 
 # Every repeat call reads the ideal just polarized: one `betti_table`
-# call reaches it from `_slack_relations`, `lcm_lattice` and Hochster.
-# Seed-1 benchmark passes: 353 hits of 547 calls on `banerjee_small`,
-# 101 of 190 on `vwc_main_theorem`, and a larger cache hits no more.
+# call reaches it from `_bit_permutations`, `_slack_tables`, `lcm_lattice`
+# and Hochster.
+# Seed-1 benchmark passes: 421 hits of 615 calls on `banerjee_small`,
+# 149 of 238 on `vwc_main_theorem`, and a larger cache hits no more.
 @lru_cache(maxsize=1)
 def polarize(I):
     """Polarized generator supports: (polarized variable count, masks in
@@ -581,9 +595,19 @@ def betti_table_hochster(I):
 # ---------------------------------------------------------------------------
 
 
-def _slack_relations(I):
-    """Each element w of the lcm lattice of I with the slack relation of
-    the interval below it, as (w, atoms, rows, k).
+def _slack_tables(I):
+    """What `_slack_relation` reads of I, built once per table: the
+    polarized masks, the last-copy and first-copy masks, `contains` (for
+    each polarized bit, the generators whose masks hold it) and the mask
+    of every polarized bit."""
+    nbits, masks, last = polarize(I)
+    full = (1 << nbits) - 1
+    return masks, last, full & (last << 1 | 1), _transpose(masks, nbits), full
+
+
+def _slack_relation(w, tables):
+    """The slack relation of the interval below the lattice element w, as
+    (atoms, rows, k), from the tables of its ideal (`_slack_tables`).
 
     `atoms` masks the indices, in `sorted_gens()` order, of the atoms:
     the generators dividing w's monomial m.  `rows` lists their slack
@@ -594,42 +618,102 @@ def _slack_relations(I):
     Both come from the polarized masks alone, whose copies of each
     variable form a prefix.  A generator divides m exactly when its mask
     holds no copy outside w, and one holding a copy of v outside w holds
-    the first such copy.  `contains` lists, for each polarized bit, the
-    generators whose masks hold it, so the non-atoms are the union of
-    `contains` over each variable's first copy missing from w: one OR per
-    variable that w stops short of.  w's top copies are its bits whose
-    successor is outside w or starts the next variable, and an atom's
-    exponent of v is below m_v exactly when v's top copy is missing from
-    its mask.  So its slack row is w's top copies outside its mask,
-    compressed onto them (`_runs`)."""
-    nbits, masks, last = polarize(I)
-    full = (1 << nbits) - 1
-    starts = full & (last << 1 | 1)
-    contains = _transpose(masks, nbits)
-    everyone = (1 << len(masks)) - 1
-    for w in lcm_lattice(I):
-        # A copy outside w is its variable's first missing one when it
-        # starts the variable or follows a copy in w.
-        firsts = full & ~w & (starts | w << 1)
-        out = 0
-        while firsts:
-            low = firsts & -firsts
-            out |= contains[low.bit_length() - 1]
-            firsts ^= low
-        atoms = everyone & ~out
-        tops = w & ~(w >> 1 & ~last)
-        runs = _runs(tops)
-        rows = []
-        rest = atoms
-        while rest:
-            low = rest & -rest
-            slack = tops & ~masks[low.bit_length() - 1]
-            row = 0
-            for run, shift in runs:
-                row |= (slack & run) >> shift
-            rows.append(row)
-            rest ^= low
-        yield w, atoms, rows, tops.bit_count()
+    the first such copy.  So the non-atoms are the union of `contains`
+    over each variable's first copy missing from w: one OR per variable
+    that w stops short of.  w's top copies are its bits whose successor
+    is outside w or starts the next variable, and an atom's exponent of
+    v is below m_v exactly when v's top copy is missing from its mask.
+    So its slack row is w's top copies outside its mask, compressed onto
+    them (`_runs`)."""
+    masks, last, starts, contains, full = tables
+    # A copy outside w is its variable's first missing one when it
+    # starts the variable or follows a copy in w.
+    firsts = full & ~w & (starts | w << 1)
+    out = 0
+    while firsts:
+        low = firsts & -firsts
+        out |= contains[low.bit_length() - 1]
+        firsts ^= low
+    atoms = ((1 << len(masks)) - 1) & ~out
+    tops = w & ~(w >> 1 & ~last)
+    runs = _runs(tops)
+    rows = []
+    rest = atoms
+    while rest:
+        low = rest & -rest
+        slack = tops & ~masks[low.bit_length() - 1]
+        row = 0
+        for run, shift in runs:
+            row |= (slack & run) >> shift
+        rows.append(row)
+        rest ^= low
+    return atoms, rows, tops.bit_count()
+
+
+def _bit_permutations(I, symmetries):
+    """Each vertex permutation p in `symmetries` (p[v] the image of v) as
+    a permutation of I's polarized bits, identities left out: copy c of
+    variable v goes to copy c of p[v].
+
+    ValueError unless p permutes the variables, keeps each variable's top
+    exponent e_v (its number of copies), and maps the set of generator
+    masks onto itself.  Then p fixes I, so it permutes the lattice and
+    maps each interval onto an isomorphic one; a permutation that does
+    not raises here and never reaches a table."""
+    if not symmetries:
+        return ()
+    nbits, masks, _ = polarize(I)
+    tops = list(map(max, zip(*I.sorted_gens())))
+    offsets = list(accumulate(tops, initial=0))
+    identity = list(range(nbits))
+    gens = set(masks)
+    out = []
+    for p in symmetries:
+        if sorted(p) != list(range(I.nvars)):
+            raise ValueError(
+                f"{p} is not a permutation of the {I.nvars} variables"
+            )
+        bits = [0] * nbits
+        for v, image in enumerate(p):
+            if tops[v] != tops[image]:
+                raise ValueError(
+                    f"{p} moves x{v} to x{image}, whose top exponent "
+                    f"differs ({tops[v]} against {tops[image]})"
+                )
+            for c in range(tops[v]):
+                bits[offsets[v] + c] = offsets[image] + c
+        if bits == identity:
+            continue
+        if {_permute_mask(m, bits) for m in masks} != gens:
+            raise ValueError(f"{p} maps a generator outside the ideal")
+        out.append(bits)
+    return tuple(out)
+
+
+def _permute_mask(mask, bits):
+    """The image of `mask` under the bit permutation `bits`."""
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= 1 << bits[low.bit_length() - 1]
+        mask ^= low
+    return image
+
+
+def _lattice_orbits(lattice, perms):
+    """(representative, orbit size) for each orbit of the lattice elements
+    under the group the bit permutations `perms` generate, representatives
+    in lattice order.  An orbit is walked (`_mask_orbit`) from its first
+    member met, and every other member is marked; a mark is dropped once
+    reached, since the lattice holds each element once."""
+    marked = set()
+    for w in lattice:
+        if w in marked:
+            marked.discard(w)
+        else:
+            orbit = _mask_orbit(w, perms)
+            marked.update(orbit[1:])
+            yield w, len(orbit)
 
 
 def _maximal(masks):
@@ -721,22 +805,42 @@ def _core_ranks(rows, ncols):
     return reduced_homology_ranks(_submask_faces(side))
 
 
-def betti_table_lcm(I):
+def betti_table_lcm(I, symmetries=()):
     """Graded Betti table of I via lcm-lattice interval homology: beta_{i,j}
     sums the ranks of H~_(i-1) over the intervals below the lattice
-    elements of degree j, w's bit count."""
+    elements of degree j, w's bit count.
+
+    `symmetries` are vertex permutations fixing I (p[v] the image of v),
+    such as generators of Aut(G) for I = I(G)^s.  Each one, as a bit
+    permutation of the polarized masks (`_bit_permutations`, ValueError
+    for one that does not fix I), maps the interval below w onto the
+    interval below its image, of the same degree and with the same
+    homology (Gasharov-Peeva-Welker, The lcm-lattice in monomial
+    resolutions, Math. Res. Lett. 6, 1999).  So the sum reads one
+    relation per orbit of the lattice under the group they generate and
+    weights its ranks by the orbit's size.  Without symmetries every
+    element is read, and no orbit is walked.  Hochster keeps its full
+    sweep, so wherever both engines answer (`betti_table`), an orbit
+    walked wrong shows as an EngineDisagreement, not a wrong table."""
     _check_ideal(I)
     if len(I.gens) > LCM_MAX_GENERATORS:
         raise CapacityError(
             f"{len(I.gens)} generators exceed the lcm generator cap "
             f"{LCM_MAX_GENERATORS}"
         )
+    perms = _bit_permutations(I, symmetries)
+    lattice = lcm_lattice(I)
+    orbits = _lattice_orbits(lattice, perms) if perms else (
+        (w, 1) for w in lattice
+    )
+    tables = _slack_tables(I)
     entries = {}
-    for w, _, rows, k in _slack_relations(I):
+    for w, size in orbits:
+        _, rows, k = _slack_relation(w, tables)
         j = w.bit_count()
         for d, r in _relation_ranks(tuple(sorted(set(rows))), k).items():
             i = d + 1
-            entries[(i, j)] = entries.get((i, j), 0) + r
+            entries[(i, j)] = entries.get((i, j), 0) + r * size
     return BettiTable(entries)
 
 
@@ -753,12 +857,15 @@ def _check_engines(engines):
         )
 
 
-def betti_table(I, engines=("lcm", "hochster")):
+def betti_table(I, engines=("lcm", "hochster"), symmetries=()):
     """Betti table of I from every listed engine that fits its limits.
 
     Tables from two engines must agree entrywise, else EngineDisagreement.
     CapacityError only when no listed engine fits.  The returned table
-    records the engines that answered in `engines`.
+    records the engines that answered in `engines`.  `symmetries`, vertex
+    permutations fixing I, go to the lcm engine alone, which sums over
+    their orbits (`betti_table_lcm`); Hochster sweeps every element, so a
+    two-engine answer referees the orbit sum.
     """
     _check_engines(engines)
     _check_ideal(I)
@@ -766,9 +873,11 @@ def betti_table(I, engines=("lcm", "hochster")):
     for name in engines:
         # Looked up at call time, so rebinding the module attributes
         # reaches every engine run.
-        fn = betti_table_lcm if name == "lcm" else betti_table_hochster
         try:
-            tables[name] = fn(I)
+            if name == "lcm":
+                tables[name] = betti_table_lcm(I, symmetries)
+            else:
+                tables[name] = betti_table_hochster(I)
         except CapacityError as exc:
             errors.append(exc)
     if not tables:
@@ -784,9 +893,38 @@ def betti_table(I, engines=("lcm", "hochster")):
     return table
 
 
-# Each entry holds a whole ideal.  Criterion 8 (all n <= 6) peaks at 568
-# entries, criterion 1 at 62.
+class _Unkeyed:
+    """A value handed through an `lru_cache` outside its key: every
+    instance equals every other and hashes alike."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _Unkeyed)
+
+    def __hash__(self):
+        return 0
+
+
+# Each entry holds a whole ideal, keyed on the ideal alone: symmetries
+# change how the lcm engine sums, never the table, so an ideal asked for
+# again with others, or with none as a colon equal to an edge ideal, hits.
+# Keyed on both, seed-1 `banerjee_small` builds 230 tables a pass, not 194.
+# Criterion 8 (all n <= 6) peaks at 568 entries, criterion 1 at 62.
 @lru_cache(maxsize=1 << 12)
-def regularity(I):
-    """reg(I) = max{j - i} over the entries of betti_table(I)."""
-    return betti_table(I).regularity()
+def _regularity(I, symmetries):
+    return betti_table(I, symmetries=symmetries.value).regularity()
+
+
+def regularity(I, symmetries=()):
+    """reg(I) = max{j - i} over the entries of betti_table(I), with the
+    vertex permutations `symmetries` fixing I handed to the lcm engine.
+    Memoized on I alone; `cache_info` and `cache_clear` read the memo."""
+    return _regularity(I, _Unkeyed(symmetries))
+
+
+regularity.cache_info = _regularity.cache_info
+regularity.cache_clear = _regularity.cache_clear

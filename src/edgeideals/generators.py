@@ -196,7 +196,9 @@ def enumerate_vwc_graphs(m):
     by the block (2t, 2t + 1) and each of the 7^t assignments of
     `_BLOCK_PATTERNS` between it and blocks 0..t-1, in `itertools.product`
     order.  An extension whose matching certifies is kept unless marked,
-    and its orbit under the relabelings that keep the matching is marked.
+    and its orbit under the relabelings that keep the matching is marked,
+    except the members no later step produces: those whose restriction
+    to blocks 0..t-1 is no representative, or one already extended.
     Marks are edge bitmasks over the vertex-pair slots u * 2(t+1) + v
     (u < v), walked by `_mask_orbit`; each is dropped once reached, since
     no labelled extension is produced twice.  This is sound:
@@ -225,9 +227,20 @@ def enumerate_vwc_graphs(m):
     for t in range(1, m):
         n = 2 * t + 2
         slot_maps = _matching_slot_maps(t + 1)
+        # An extension's restriction to blocks 0..t-1, its slots in
+        # `inner`, is the representative it extends, and representatives
+        # are extended in order: only an image whose restriction is the
+        # current or a later one is ever tried, so only those are marked.
+        inner = sum(
+            1 << (u * n + v) for u, v in itertools.combinations(range(2 * t), 2)
+        )
+        order = {
+            sum(1 << (u * n + v) for u, v in matching[:t] + cross): i
+            for i, cross in enumerate(reps)
+        }
         marked = set()
         new = []
-        for cross in reps:
+        for r, cross in enumerate(reps):
             base, base_mask = [0] * n, 0
             for u, v in matching[: t + 1] + cross:
                 base[u] |= 1 << v
@@ -246,7 +259,10 @@ def enumerate_vwc_graphs(m):
                 if mask in marked:
                     marked.discard(mask)
                 elif certificate_conditions_hold(adj, matching[: t + 1]):
-                    marked.update(_mask_orbit(mask, slot_maps)[1:])
+                    marked.update(
+                        image for image in _mask_orbit(mask, slot_maps)[1:]
+                        if order.get(image & inner, -1) >= r
+                    )
                     new.append(cross + added)
         reps = new
     seen = {}

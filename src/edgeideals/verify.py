@@ -9,7 +9,10 @@ theorem and carries both measured sides.  Capacity overruns skip.
 
 Regularities computed here use both Betti engines: each one within caps
 runs, and when both do their tables must agree entrywise.  A mismatch is
-verdict "error", carrying both tables, and the sweep goes on.
+verdict "error", carrying both tables, and the sweep goes on.  The
+regularity of I(G) or I(G)^s is asked with the generators of Aut(G)
+(`lcm_symmetries`), which the lcm engine sums over by orbits; a colon
+ideal is asked with none.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import __version__, betti
 from . import monomials as mon
 from .betti import CapacityError, EngineDisagreement, regularity
 from .evenconn import colon_graph
@@ -124,14 +127,25 @@ def _odd_girth_below(G, bound):
     return f"odd-girth {og} < {bound}" if og < bound else None
 
 
+def lcm_symmetries(G, I):
+    """The generators of Aut(G), which fix I = I(G)^s, for the lcm
+    engine's orbit sum; none when I is over that engine's generator cap,
+    where they would go unread, so `edgeideals regularity` never searches
+    a graph too large for the engine."""
+    if len(I.gens) > betti.LCM_MAX_GENERATORS:
+        return ()
+    return automorphism_generators(G)
+
+
 def check_katzman(G):
     """reg(I(G)) >= nu(G) + 1 on any graph with an edge."""
     inst = _instance_id(G)
     if not G.edges:
         return _skipped("katzman", inst, "no edges")
     nu = induced_matching_number(G)
+    I = mon.edge_ideal(G)
     try:
-        reg = regularity(mon.edge_ideal(G))
+        reg = regularity(I, lcm_symmetries(G, I))
     except (CapacityError, EngineDisagreement) as exc:
         return _unanswered("katzman", inst, exc)
     verdict = "pass" if reg >= nu + 1 else "fail"
@@ -146,8 +160,9 @@ def check_bht_lower_bound(G, s):
     if s < 1:
         raise ValueError("s must be positive")
     nu = induced_matching_number(G)
+    I = mon.power(mon.edge_ideal(G), s)
     try:
-        reg = regularity(mon.power(mon.edge_ideal(G), s))
+        reg = regularity(I, lcm_symmetries(G, I))
     except (CapacityError, EngineDisagreement) as exc:
         return _unanswered("bht", inst, exc)
     bound = 2 * s + nu - 1
@@ -182,8 +197,9 @@ def _main_theorem(name, inst, G, s, k=None):
     if reason:
         return _skipped(name, inst, reason)
     nu = induced_matching_number(G)
+    I = mon.power(mon.edge_ideal(G), s)
     try:
-        reg = regularity(mon.power(mon.edge_ideal(G), s))
+        reg = regularity(I, lcm_symmetries(G, I))
     except (CapacityError, EngineDisagreement) as exc:
         return _unanswered(name, inst, exc)
     expected = 2 * s + nu - 1
@@ -319,11 +335,12 @@ def check_banerjee_recursion(G, s):
     I = mon.edge_ideal(G)
     Is = mon.power(I, s)
     Is1 = mon.power(I, s + 1)
+    perms = automorphism_generators(G)
     try:
-        lhs = regularity(Is1)
-        rhs = regularity(Is)
+        lhs = regularity(Is1, perms)
+        rhs = regularity(Is, perms)
         gens = Is.sorted_gens()
-        for m_l in _orbit_representatives(gens, automorphism_generators(G)):
+        for m_l in _orbit_representatives(gens, perms):
             colon = mon.colon_by_monomial(Is1, m_l)
             rhs = max(rhs, regularity(colon) + 2 * s)
     except (CapacityError, EngineDisagreement) as exc:

@@ -24,6 +24,10 @@ BENCH = {
     "command": ["python3", "perfbench/run.py"],
     "run_seconds": 20,
     "workloads": [{"name": "a"}, {"name": "b"}],
+    "end_to_end": [
+        {"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "ok_frac", "unit": "fraction", "better": "higher"},
+    ],
 }
 
 
@@ -104,3 +108,58 @@ def test_parent_needs_other_commit_and_same_workloads(tmp_path):
     with pytest.raises(ValueError, match="different workloads"):
         bench_snapshot.snapshots([first, other], recording_runner(calls))
     assert calls == []
+
+
+def test_pairs_alternate_and_count_the_wins(tmp_path):
+    parent = checkout(tmp_path / "parent", "parent")
+    change = checkout(tmp_path / "change", "change")
+    # Each side's wall_s and ok_frac per workload, in pair order.
+    script = {
+        ("parent", "a"): [(3.0, 1.0), (2.0, 1.0), (4.0, 1.0)],
+        ("change", "a"): [(2.0, 1.0), (2.0, 0.9), (1.0, 1.0)],
+        ("parent", "b"): [(1.0, 1.0)] * 3,
+        ("change", "b"): [(1.5, 1.0)] * 3,
+    }
+    feeds = {key: iter(vals) for key, vals in script.items()}
+    calls = []
+
+    def runner(checkout, command, workload, seconds, trace):
+        calls.append((checkout.name, workload, trace))
+        wall, ok = next(feeds[checkout.name, workload])
+        out = {"correct": ok == 1.0, "attempted": 2, "failed": 0,
+               "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                           "ok_frac": {"value": ok, "unit": "fraction"}}}
+        return [], out
+
+    old, new = bench_snapshot.pairs([parent, change], 3, runner)
+    # Untraced runs only; each workload runs in both checkouts before the
+    # next starts, and the parent goes first on every other pair.
+    assert calls == [
+        ("parent", "a", 0), ("change", "a", 0),
+        ("parent", "b", 0), ("change", "b", 0),
+        ("change", "a", 0), ("parent", "a", 0),
+        ("change", "b", 0), ("parent", "b", 0),
+        ("parent", "a", 0), ("change", "a", 0),
+        ("parent", "b", 0), ("change", "b", 0),
+    ]
+    assert old["a"]["wall_s"] == [3.0, 2.0, 4.0]
+    assert new["a"]["correct"] == [True, False, True]
+    # Lower wall_s and higher ok_frac win; a tie counts for neither.
+    assert bench_snapshot.pair_summary(BENCH["end_to_end"], old, new) == [
+        "a wall_s (s): parent 3 [2.5, 3.5] -> change 2 [1.5, 2], "
+        "change won 2/3",
+        "a ok_frac (fraction): parent 1 [1, 1] -> change 1 [0.95, 1], "
+        "change won 0/3",
+        "b wall_s (s): parent 1 [1, 1] -> change 1.5 [1.5, 1.5], "
+        "change won 0/3",
+        "b ok_frac (fraction): parent 1 [1, 1] -> change 1 [1, 1], "
+        "change won 0/3",
+    ]
+
+
+def test_pairs_need_a_parent(tmp_path, capsys):
+    checkout(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_snapshot.main(["--checkout", str(tmp_path), "--pairs", "2"])
+    assert exc.value.code == 2
+    assert "--pairs needs --parent" in capsys.readouterr().err

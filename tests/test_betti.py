@@ -33,10 +33,11 @@ from edgeideals.generators import (
     corona,
     cycle_graph,
     enumerate_all_graphs,
+    enumerate_vwc_graphs,
     path_graph,
     random_graph,
 )
-from edgeideals.graphs import Graph
+from edgeideals.graphs import Graph, automorphism_generators
 from edgeideals.homology import faces_from_nonfaces, reduced_homology_ranks
 from edgeideals.monomials import (
     MonomialIdeal,
@@ -45,6 +46,7 @@ from edgeideals.monomials import (
     minimalize,
     power,
 )
+from edgeideals.verify import derive_k
 from test_homology import fraction_boundary_rank, ranks_without_collapse
 
 
@@ -53,6 +55,14 @@ BOTH = ("lcm", "hochster")
 
 def I_of(G):
     return edge_ideal(G)
+
+
+def slack_relations(I):
+    """Each element w of I's lcm lattice with the slack relation of the
+    interval below it, as (w, atoms, rows, k)."""
+    tables = betti._slack_tables(I)
+    for w in lcm_lattice(I):
+        yield (w, *betti._slack_relation(w, tables))
 
 
 class TestAnchors:
@@ -236,7 +246,7 @@ class TestIntervals:
         }
         masks = polarize(I)[1]
         image = []
-        for w, _, rows, k in betti._slack_relations(I):
+        for w, _, rows, k in slack_relations(I):
             under = [g for g, a in zip(gens, masks) if not a & ~w]
             m = tuple(map(max, zip(*under)))
             assert sum(m) == w.bit_count()
@@ -279,7 +289,7 @@ class TestIntervals:
         n = I.nvars
         tops = [max(g[v] for g in gens) for v in range(n)]
         offsets = list(itertools.accumulate([0] + tops))
-        for w, atoms, rows, k in betti._slack_relations(I):
+        for w, atoms, rows, k in slack_relations(I):
             m = tuple(
                 (w >> offsets[v] & (1 << tops[v]) - 1).bit_count()
                 for v in range(n)
@@ -297,6 +307,173 @@ class TestIntervals:
                 sum(1 << j for j, v in enumerate(supp) if gens[i][v] < m[v])
                 for i in divisors
             ]
+
+
+def symmetric_ideal(n, gens, perm):
+    """The ideal generated by `gens` and all their images under the
+    variable permutation `perm` (x_v to x_perm[v]): perm fixes it."""
+    closed, frontier = set(gens), list(gens)
+    while frontier:
+        g = frontier.pop()
+        image = [0] * n
+        for v, e in enumerate(g):
+            image[perm[v]] = e
+        image = tuple(image)
+        if image not in closed:
+            closed.add(image)
+            frontier.append(image)
+    return minimalize(n, closed)
+
+
+def lcm_tables_agree(I, perms):
+    """The lcm table summed over orbits against the full sweep of both
+    engines, Hochster only where it fits its caps."""
+    table = betti_table_lcm(I, perms)
+    assert table == betti_table_lcm(I)
+    try:
+        assert table == betti_table_hochster(I)
+    except CapacityError:
+        pass
+
+
+class TestOrbitSweep:
+    def test_criterion_1_powers(self):
+        # Every I(G)^s of criterion 1 under the lcm generator cap.
+        graphs = [G for m in (1, 2, 3, 4) for G in enumerate_vwc_graphs(m)]
+        graphs += [corona(cycle_graph(5)), corona(cycle_graph(7))]
+        checked = 0
+        for G in graphs:
+            for s in (1, 2, 3):
+                I = power(I_of(G), s)
+                if s <= derive_k(G, s) - 2 and (
+                    len(I.gens) <= betti.LCM_MAX_GENERATORS
+                ):
+                    lcm_tables_agree(I, automorphism_generators(G))
+                    checked += 1
+        assert checked == 51
+
+    def test_small_graphs(self):
+        # I(G) and I(G)^2 of every graph on at most 6 vertices, isolated
+        # vertices included: their variables have no copy to move.
+        for n in range(1, 7):
+            for G in enumerate_all_graphs(n, allow_isolated=True):
+                if not G.edges:
+                    continue
+                perms = automorphism_generators(G)
+                for s in (1, 2):
+                    I = power(I_of(G), s)
+                    if len(I.gens) <= betti.LCM_MAX_GENERATORS:
+                        lcm_tables_agree(I, perms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                    .filter(lambda e: e[0] < e[1]),
+                    min_size=1,
+                    max_size=8,
+                ),
+                st.integers(1, 2),
+            )
+        )
+    )
+    def test_random_graphs(self, case):
+        n, edges, s = case
+        G = Graph(n, frozenset(edges))
+        I = power(I_of(G), s)
+        assume(len(I.gens) <= betti.LCM_MAX_GENERATORS)
+        lcm_tables_agree(I, automorphism_generators(G))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                    min_size=1,
+                    max_size=3,
+                ),
+                st.permutations(range(n)),
+            )
+        )
+    )
+    def test_ideals_closed_under_a_permutation(self, case):
+        # Top exponents that differ between variables, each kept by the
+        # permutation, and orbits of every length it gives.
+        n, gens, perm = case
+        I = symmetric_ideal(n, gens, perm)
+        assume(len(I.gens) <= betti.LCM_MAX_GENERATORS)
+        lcm_tables_agree(I, (tuple(perm),))
+
+    @pytest.mark.parametrize("G", [
+        cycle_graph(5), complete_graph(4), path_graph(4), corona(cycle_graph(5)),
+    ])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_orbits_partition_the_lattice(self, G, s):
+        I = power(I_of(G), s)
+        perms = betti._bit_permutations(I, automorphism_generators(G))
+        lattice = lcm_lattice(I)
+        orbits = list(betti._lattice_orbits(lattice, perms))
+        assert sum(size for _, size in orbits) == len(lattice)
+        members = [
+            x for w, _ in orbits
+            for x in betti._mask_orbit(w, perms)
+        ]
+        assert len(members) == len(set(members)) and set(members) == lattice
+        assert len(orbits) < len(lattice)
+
+    def test_no_symmetries_walk_no_orbit(self, monkeypatch):
+        # An ideal given no permutation, or only ones that move no
+        # polarized bit (the swap of two isolated vertices), reads every
+        # element.
+        def refuse(*args):
+            raise AssertionError("walked an orbit")
+
+        monkeypatch.setattr(betti, "_mask_orbit", refuse)
+        I = I_of(Graph(4, frozenset({(0, 1)})))
+        assert betti_table_lcm(I) == betti_table_lcm(I, ((0, 1, 3, 2),))
+        assert betti._bit_permutations(I, ((0, 1, 3, 2),)) == ()
+
+    def test_a_wrong_symmetry_raises(self):
+        I = I_of(path_graph(3))
+        # Swapping the ends of P3's first edge sends x1*x2 to x0*x2.
+        with pytest.raises(ValueError, match="outside the ideal"):
+            betti_table_lcm(I, ((1, 0, 2),))
+        with pytest.raises(ValueError, match="not a permutation of the 3"):
+            betti_table_lcm(I, ((1, 0),))
+        with pytest.raises(ValueError, match="not a permutation of the 3"):
+            betti_table_lcm(I, ((0, 0, 2),))
+        # x0^2 and x1 have top exponents 2 and 1.
+        J = MonomialIdeal(2, frozenset({(2, 0), (0, 1)}))
+        with pytest.raises(ValueError, match="top exponent differs"):
+            betti_table_lcm(J, ((1, 0),))
+        # The reversal of P3 fixes I(P3); so does the identity.
+        assert betti_table_lcm(I, ((2, 1, 0), (0, 1, 2))) == betti_table_lcm(I)
+
+    def test_regularity_and_betti_table_pass_them_on(self, monkeypatch):
+        G = cycle_graph(5)
+        I = power(I_of(G), 2)
+        perms = automorphism_generators(G)
+        seen = []
+        lcm = betti.betti_table_lcm
+
+        def recorded(I, symmetries=()):
+            seen.append(symmetries)
+            return lcm(I, symmetries)
+
+        monkeypatch.setattr(betti, "betti_table_lcm", recorded)
+        regularity.cache_clear()
+        assert regularity(I, perms) == 4
+        assert betti_table(I, ("lcm",), perms).rows() == betti_table(I).rows()
+        assert seen == [perms, perms, ()]
+        # The memo is keyed on the ideal alone: asked again without them,
+        # as the colon equal to an edge ideal is, it hits.
+        assert regularity(I) == 4
+        assert regularity.cache_info().hits == 1 and len(seen) == 3
 
 
 # Relations of 1-8 rows over 1-10 columns, as row masks.
@@ -378,7 +555,7 @@ class TestDowkerCore:
         for I in (power(I_of(cycle_graph(5)), 2),
                   power(I_of(path_graph(6)), 2), I_of(complete_graph(4))):
             betti_table_lcm(I)
-            for _, _, rows, k in betti._slack_relations(I):
+            for _, _, rows, k in slack_relations(I):
                 core, cols = betti._dowker_core(rows, k)
                 betti._core_ranks.__wrapped__(tuple(sorted(core)), len(cols))
         assert len(seen) > 100

@@ -9,10 +9,10 @@ import sys
 import pytest
 
 import edgeideals
-from edgeideals import betti, verify
+from edgeideals import betti, graphs, verify
 from edgeideals.cli import main
 from edgeideals.generators import complete_bipartite_graph, cycle_graph, path_graph
-from edgeideals.graphs import to_edge_list
+from edgeideals.graphs import automorphism_generators, to_edge_list
 
 
 @pytest.fixture
@@ -181,14 +181,61 @@ class TestRegularity:
         calls = []
         lcm = betti.betti_table_lcm
 
-        def counted(I):
+        def counted(I, symmetries=()):
             calls.append(I)
-            return lcm(I)
+            return lcm(I, symmetries)
 
         monkeypatch.setattr(betti, "betti_table_lcm", counted)
         betti.regularity.cache_clear()
         code, _ = run(capsys, ["regularity", "--graph", graph_file(path_graph(4))])
         assert code == 0 and len(calls) == 1
+
+    def test_lcm_power_of_c5_sums_over_automorphism_orbits(
+        self, capsys, graph_file, monkeypatch
+    ):
+        # I(C5)^2 has 15 generators, so the lcm engine answers it alone,
+        # with the generators of Aut(C5), of order 10; the output holds
+        # the bytes the sweep over every lattice element printed.
+        G = cycle_graph(5)
+        seen = []
+        lcm = betti.betti_table_lcm
+
+        def recorded(I, symmetries=()):
+            seen.append(symmetries)
+            return lcm(I, symmetries)
+
+        monkeypatch.setattr(betti, "betti_table_lcm", recorded)
+        betti.regularity.cache_clear()
+        argv = ["regularity", "--graph", graph_file(G), "--engine", "lcm",
+                "--power", "2"]
+        assert run(capsys, argv) == (0, (
+            "reg(I(G)^2) = 4  [answered by lcm, 15 generators]\n"
+            "    0  1  2\n"
+            " 4 15 24 10\n"
+        ))
+        assert seen == [automorphism_generators(G)]
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 0 and out == (
+            '{\n  "betti": [\n'
+            '    {\n      "i": 0,\n      "j": 4,\n      "rank": 15\n    },\n'
+            '    {\n      "i": 1,\n      "j": 5,\n      "rank": 24\n    },\n'
+            '    {\n      "i": 2,\n      "j": 6,\n      "rank": 10\n    }\n'
+            '  ],\n  "engines": [\n    "lcm"\n  ],\n  "generators": 15,\n'
+            '  "power": 2,\n  "regularity": 4\n}\n'
+        )
+
+    def test_no_automorphism_search_over_the_lcm_cap(
+        self, capsys, graph_file, monkeypatch
+    ):
+        # I(P30) is over both engines' caps; the graph is never searched
+        # for symmetries the lcm engine would not read.
+        def refuse(n, edges):
+            raise AssertionError("searched the graph")
+
+        graphs._canonical_memo.cache_clear()
+        monkeypatch.setattr(graphs, "_canonical_search", refuse)
+        assert main(["regularity", "--graph", graph_file(path_graph(30))]) == 2
+        assert "capacity exceeded" in capsys.readouterr().err
 
     def test_vertex_limit_exits_2(self, capsys, tmp_path):
         path = tmp_path / "huge.txt"

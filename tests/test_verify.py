@@ -87,6 +87,21 @@ class TestIndividualChecks:
         for s in (1, 2):
             assert check_bht_lower_bound(cycle_graph(5), s).verdict == "pass"
 
+    def test_lcm_symmetries_only_within_the_lcm_cap(self, monkeypatch):
+        # I(C5)^2 has 15 generators and gets Aut(C5)'s; I(P30) has 29,
+        # over the lcm cap, and gets none without a search of the graph.
+        G = cycle_graph(5)
+        I = mon.power(edge_ideal(G), 2)
+        assert verify.lcm_symmetries(G, I) == graphs.automorphism_generators(G)
+
+        def refuse(n, edges):
+            raise AssertionError("searched the graph")
+
+        graphs._canonical_memo.cache_clear()
+        monkeypatch.setattr(graphs, "_canonical_search", refuse)
+        G = path_graph(30)
+        assert verify.lcm_symmetries(G, edge_ideal(G)) == ()
+
     def test_main_theorem_on_corona_c7(self):
         # corona(C7): odd-girth 7, so k = 3 and s = 1 is in range;
         # reg(I) = 2*1 + nu - 1 = nu + 1 = 4.
@@ -178,11 +193,11 @@ class TestBanerjeeOrbits:
         # over it must give the reason the first generator over it gave.
         regularity = verify.regularity
 
-        def capped(I):
+        def capped(I, symmetries=()):
             degrees = {mon.degree(g) for g in I.gens}
             if degrees == {2} and not I.is_squarefree:
                 raise CapacityError(f"{len(I.gens)} generators, a test cap")
-            return regularity(I)
+            return regularity(I, symmetries)
 
         monkeypatch.setattr(verify, "regularity", capped)
         reasons = set()

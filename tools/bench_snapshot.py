@@ -1,6 +1,6 @@
 """Snapshot every benchmark workload into one BENCH_*.json file.
 
-    python3 tools/bench_snapshot.py [--checkout DIR] [--parent DIR]
+    python3 tools/bench_snapshot.py [--checkout DIR] [--parent DIR [--pairs N]]
 
 Runs each workload that the checkout's BENCHMARK.json declares through
 the declared command (`perfbench/run.py`), from the checkout's root, with
@@ -19,6 +19,12 @@ one after the other drift with the host, so to compare two commits give
 runs in both checkouts in turn, the parent first on every other run, and
 one snapshot is written for each.  The two checkouts must declare the
 same workloads.
+
+With --pairs N, N further untraced pairs of every workload follow the
+snapshots, the parent first on every other pair.  Each snapshot keeps its
+side's values under "pairs", and for each end-to-end metric and workload
+the tool prints each side's median and quartiles and the number of pairs
+the change won, ties counting for neither side.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import json
 import os
 import platform
 import socket
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +115,62 @@ def snapshots(checkouts, runner=run_workload):
     return snaps
 
 
+def pairs(checkouts, n, runner=run_workload):
+    """N untraced runs of every workload in both checkouts, (parent,
+    change), each with its own BENCHMARK.json command: pair i runs each
+    workload in both before the next starts, the parent first when i is
+    even.  Returns one {workload: {metric: [value per pair]}} per
+    checkout, over the end_to_end metrics of the change's BENCHMARK.json,
+    with each run's correctness under "correct"."""
+    benches = []
+    for checkout in checkouts:
+        with open(Path(checkout) / "BENCHMARK.json") as fh:
+            benches.append(json.load(fh))
+    names = [spec["name"] for spec in benches[1]["workloads"]]
+    metrics = [spec["name"] for spec in benches[1]["end_to_end"]]
+    values = [{name: {m: [] for m in (*metrics, "correct")} for name in names}
+              for _ in checkouts]
+    for i in range(n):
+        for name in names:
+            for k in (0, 1) if i % 2 == 0 else (1, 0):
+                _, out = runner(checkouts[k], benches[k]["command"], name,
+                                benches[k]["run_seconds"], 0)
+                for m in metrics:
+                    values[k][name][m].append(out["metrics"][m]["value"])
+                values[k][name]["correct"].append(out["correct"])
+    return values
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile), linearly interpolated
+    between the sorted values."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def pair_summary(end_to_end, parent, change):
+    """One line per workload and end-to-end metric of `pairs` output:
+    each side's median [quartiles], and the pairs the change won by the
+    metric's `better` direction, ties counting for neither."""
+    lines = []
+    for name in parent:
+        for spec in end_to_end:
+            metric = spec["name"]
+            old, new = parent[name][metric], change[name][metric]
+            sign = 1 if spec["better"] == "higher" else -1
+            won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+            sides = []
+            for vals in (old, new):
+                q1, med, q3 = quartiles(vals)
+                sides.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
+            lines.append(
+                f"{name} {metric} ({spec['unit']}): parent {sides[0]} -> "
+                f"change {sides[1]}, change won {won}/{len(old)}")
+    return lines
+
+
 def file_name(snap):
     """BENCH_<date>_<short commit>.json, with -dirty for a dirty tree."""
     day = snap["date"][:10]
@@ -125,7 +188,15 @@ def main(argv=None):
     ap.add_argument("--parent", type=Path,
                     help="root of a second checkout to run in turn with "
                          "the first, workload by workload")
+    ap.add_argument("--pairs", type=int, default=0, metavar="N",
+                    help="with --parent, run N more untraced pairs of "
+                         "every workload and print each metric's medians, "
+                         "quartiles and pairs won")
     args = ap.parse_args(argv)
+    if args.pairs and args.parent is None:
+        ap.error("--pairs needs --parent")
+    if args.pairs < 0:
+        ap.error("--pairs must be at least 0")
 
     checkouts = [args.checkout]
     if args.parent is not None:
@@ -134,11 +205,20 @@ def main(argv=None):
         if not (checkout / "BENCHMARK.json").is_file():
             print(f"no BENCHMARK.json under {checkout}", file=sys.stderr)
             return 2
+    checkouts = [checkout.resolve() for checkout in checkouts]
     try:
-        snaps = snapshots([checkout.resolve() for checkout in checkouts])
+        snaps = snapshots(checkouts)
     except ValueError as err:
         print(err, file=sys.stderr)
         return 2
+    if args.pairs:
+        values = pairs(checkouts, args.pairs)
+        for snap, side in zip(snaps, values):
+            snap["pairs"] = side
+        with open(checkouts[1] / "BENCHMARK.json") as fh:
+            end_to_end = json.load(fh)["end_to_end"]
+        for line in pair_summary(end_to_end, *values):
+            print(line)
     out_dir = ROOT / "bench"
     out_dir.mkdir(exist_ok=True)
     for snap in snaps:
@@ -149,7 +229,9 @@ def main(argv=None):
         print(path)
     return 0 if all(
         run["correct"] for snap in snaps for w in snap["workloads"].values()
-        for run in w.values()) else 1
+        for run in w.values()) and all(
+        all(w["correct"]) for snap in snaps
+        for w in snap.get("pairs", {}).values()) else 1
 
 
 if __name__ == "__main__":
