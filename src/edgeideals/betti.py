@@ -35,16 +35,18 @@ support of m, while Hochster restricts the polarized Stanley-Reisner
 complex, and for squarefree m, K^m is the Alexander dual of Hochster's
 restriction; Hochster reads neither the relation nor the core memo.
 
-Orbit sum: a vertex permutation fixing I, such as an automorphism of G
-for I = I(G)^s, permutes the polarized bits (copy c of v to copy c of
-its image) and with them the lattice, and maps the interval below w onto
-the interval below its image, so the two have the same homology
-(Gasharov-Peeva-Welker, The lcm-lattice in monomial resolutions, Math.
-Res. Lett. 6, 1999).  Given such permutations, each checked to fix I,
-the lcm engine reads one relation per orbit of the lattice and weights
-its ranks by the orbit's size.  Hochster ignores them and keeps its full
-sweep, so wherever both engines answer, its table referees the orbit
-sum as well as the reductions.
+Orbit sum: a vertex permutation fixing I permutes the polarized bits
+(copy c of v to copy c of its image) and with them the lattice, and maps
+the interval below w onto the interval below its image, so the two have
+the same homology (Gasharov-Peeva-Welker, The lcm-lattice in monomial
+resolutions, Math. Res. Lett. 6, 1999).  The lcm engine finds such
+permutations itself (`_ideal_symmetries`): the automorphisms of I's own
+graph, an edge uv per minimal generator with support {u, v}, that fix
+I.  For I = I(G)^s that graph is G, whose automorphism generators the
+canonical-key memo already holds once `graph_code(G)` has run.  It reads
+one relation per orbit of the lattice and weights its ranks by the
+orbit's size.  Hochster keeps its full sweep, so wherever both engines
+answer, its table referees the orbit sum as well as the reductions.
 
 Engine 2 (polarization + Hochster): polarize to a squarefree ideal, then
 sum reduced homology ranks of vertex-subset restrictions of its
@@ -97,7 +99,7 @@ from itertools import accumulate
 from operator import or_
 
 from . import monomials as mon
-from .graphs import _mask_orbit
+from .graphs import Graph, _mask_orbit, automorphism_generators
 from .homology import faces_from_nonfaces, reduced_homology_ranks
 
 
@@ -477,9 +479,9 @@ def _localize(nonfaces, support=None):
 
 
 # Every repeat call reads the ideal just polarized: one `betti_table`
-# call reaches it from `_bit_permutations`, `_slack_tables`, `lcm_lattice`
+# call reaches it from `_ideal_symmetries`, `_slack_tables`, `lcm_lattice`
 # and Hochster.
-# Seed-1 benchmark passes: 421 hits of 615 calls on `banerjee_small`,
+# Seed-1 benchmark passes: 506 hits of 700 calls on `banerjee_small`,
 # 149 of 238 on `vwc_main_theorem`, and a larger cache hits no more.
 @lru_cache(maxsize=1)
 def polarize(I):
@@ -650,17 +652,32 @@ def _slack_relation(w, tables):
     return atoms, rows, tops.bit_count()
 
 
-def _bit_permutations(I, symmetries):
-    """Each vertex permutation p in `symmetries` (p[v] the image of v) as
-    a permutation of I's polarized bits, identities left out: copy c of
-    variable v goes to copy c of p[v].
+def _ideal_symmetries(I):
+    """Permutations of I's polarized bits, identities left out, that
+    generate a group fixing I, read off the graph H of I: vertices the
+    variables, an edge uv for each minimal generator with support
+    exactly {u, v}.
 
-    ValueError unless p permutes the variables, keeps each variable's top
-    exponent e_v (its number of copies), and maps the set of generator
-    masks onto itself.  Then p fixes I, so it permutes the lattice and
-    maps each interval onto an isomorphic one; a permutation that does
-    not raises here and never reaches a table."""
-    if not symmetries:
+    A permutation fixing I fixes H, so the generators of Aut(H)
+    (`automorphism_generators`, from the canonical-key memo) are the
+    candidates.  For I = I(G)^s, H = G: (x_u x_v)^s is a minimal
+    generator exactly when uv is an edge, and a generator on {u, v} is a
+    product of edges inside it; a colon I^2 : e, edges and squares x_u^2,
+    gives its graph.  Each candidate, as a
+    vertex permutation p, is kept only when it keeps each variable's top
+    exponent e_v (its number of copies) and, with copy c of v sent to
+    copy c of p[v], maps the set of generator masks onto itself.  Then p
+    fixes I, so it permutes the lattice and maps each interval onto an
+    isomorphic one.  Any other generator is dropped, so the kept ones
+    span a subgroup of the stabilizer, enough for an orbit sum, and a
+    wrong group never reaches a table."""
+    edges = set()
+    for g in I.gens:
+        support = [v for v, e in enumerate(g) if e]
+        if len(support) == 2:
+            edges.add(tuple(support))
+    perms = automorphism_generators(Graph(I.nvars, frozenset(edges)))
+    if not perms:
         return ()
     nbits, masks, _ = polarize(I)
     tops = list(map(max, zip(*I.sorted_gens())))
@@ -668,25 +685,17 @@ def _bit_permutations(I, symmetries):
     identity = list(range(nbits))
     gens = set(masks)
     out = []
-    for p in symmetries:
-        if sorted(p) != list(range(I.nvars)):
-            raise ValueError(
-                f"{p} is not a permutation of the {I.nvars} variables"
-            )
+    for p in perms:
+        if any(tops[v] != tops[image] for v, image in enumerate(p)):
+            continue
         bits = [0] * nbits
         for v, image in enumerate(p):
-            if tops[v] != tops[image]:
-                raise ValueError(
-                    f"{p} moves x{v} to x{image}, whose top exponent "
-                    f"differs ({tops[v]} against {tops[image]})"
-                )
             for c in range(tops[v]):
                 bits[offsets[v] + c] = offsets[image] + c
-        if bits == identity:
-            continue
-        if {_permute_mask(m, bits) for m in masks} != gens:
-            raise ValueError(f"{p} maps a generator outside the ideal")
-        out.append(bits)
+        if bits != identity and (
+            {_permute_mask(m, bits) for m in masks} == gens
+        ):
+            out.append(bits)
     return tuple(out)
 
 
@@ -805,31 +814,31 @@ def _core_ranks(rows, ncols):
     return reduced_homology_ranks(_submask_faces(side))
 
 
-def betti_table_lcm(I, symmetries=()):
+def betti_table_lcm(I):
     """Graded Betti table of I via lcm-lattice interval homology: beta_{i,j}
     sums the ranks of H~_(i-1) over the intervals below the lattice
     elements of degree j, w's bit count.
 
-    `symmetries` are vertex permutations fixing I (p[v] the image of v),
-    such as generators of Aut(G) for I = I(G)^s.  Each one, as a bit
-    permutation of the polarized masks (`_bit_permutations`, ValueError
-    for one that does not fix I), maps the interval below w onto the
+    The bit permutations fixing I that `_ideal_symmetries` finds, such as
+    those of Aut(G) for I = I(G)^s, map the interval below w onto the
     interval below its image, of the same degree and with the same
     homology (Gasharov-Peeva-Welker, The lcm-lattice in monomial
     resolutions, Math. Res. Lett. 6, 1999).  So the sum reads one
     relation per orbit of the lattice under the group they generate and
-    weights its ranks by the orbit's size.  Without symmetries every
-    element is read, and no orbit is walked.  Hochster keeps its full
-    sweep, so wherever both engines answer (`betti_table`), an orbit
-    walked wrong shows as an EngineDisagreement, not a wrong table."""
+    weights its ranks by the orbit's size.  They are sought only once the
+    generator cap and the lattice cap have passed, so an ideal over
+    either never searches its graph.  Without them every element is
+    read, and no orbit is walked.  Hochster keeps its full sweep, so
+    wherever both engines answer (`betti_table`), an orbit walked wrong
+    shows as an EngineDisagreement, not a wrong table."""
     _check_ideal(I)
     if len(I.gens) > LCM_MAX_GENERATORS:
         raise CapacityError(
             f"{len(I.gens)} generators exceed the lcm generator cap "
             f"{LCM_MAX_GENERATORS}"
         )
-    perms = _bit_permutations(I, symmetries)
     lattice = lcm_lattice(I)
+    perms = _ideal_symmetries(I)
     orbits = _lattice_orbits(lattice, perms) if perms else (
         (w, 1) for w in lattice
     )
@@ -857,15 +866,14 @@ def _check_engines(engines):
         )
 
 
-def betti_table(I, engines=("lcm", "hochster"), symmetries=()):
+def betti_table(I, engines=("lcm", "hochster")):
     """Betti table of I from every listed engine that fits its limits.
 
     Tables from two engines must agree entrywise, else EngineDisagreement.
     CapacityError only when no listed engine fits.  The returned table
-    records the engines that answered in `engines`.  `symmetries`, vertex
-    permutations fixing I, go to the lcm engine alone, which sums over
-    their orbits (`betti_table_lcm`); Hochster sweeps every element, so a
-    two-engine answer referees the orbit sum.
+    records the engines that answered in `engines`.  The lcm engine sums
+    over the orbits of I's own symmetries (`betti_table_lcm`); Hochster
+    sweeps every element, so a two-engine answer referees the orbit sum.
     """
     _check_engines(engines)
     _check_ideal(I)
@@ -875,7 +883,7 @@ def betti_table(I, engines=("lcm", "hochster"), symmetries=()):
         # reaches every engine run.
         try:
             if name == "lcm":
-                tables[name] = betti_table_lcm(I, symmetries)
+                tables[name] = betti_table_lcm(I)
             else:
                 tables[name] = betti_table_hochster(I)
         except CapacityError as exc:
@@ -893,38 +901,10 @@ def betti_table(I, engines=("lcm", "hochster"), symmetries=()):
     return table
 
 
-class _Unkeyed:
-    """A value handed through an `lru_cache` outside its key: every
-    instance equals every other and hashes alike."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, _Unkeyed)
-
-    def __hash__(self):
-        return 0
-
-
-# Each entry holds a whole ideal, keyed on the ideal alone: symmetries
-# change how the lcm engine sums, never the table, so an ideal asked for
-# again with others, or with none as a colon equal to an edge ideal, hits.
-# Keyed on both, seed-1 `banerjee_small` builds 230 tables a pass, not 194.
-# Criterion 8 (all n <= 6) peaks at 568 entries, criterion 1 at 62.
+# Each entry holds a whole ideal.  Criterion 8 (all n <= 6) peaks at 568
+# entries, criterion 1 at 62.
 @lru_cache(maxsize=1 << 12)
-def _regularity(I, symmetries):
-    return betti_table(I, symmetries=symmetries.value).regularity()
-
-
-def regularity(I, symmetries=()):
-    """reg(I) = max{j - i} over the entries of betti_table(I), with the
-    vertex permutations `symmetries` fixing I handed to the lcm engine.
-    Memoized on I alone; `cache_info` and `cache_clear` read the memo."""
-    return _regularity(I, _Unkeyed(symmetries))
-
-
-regularity.cache_info = _regularity.cache_info
-regularity.cache_clear = _regularity.cache_clear
+def regularity(I):
+    """reg(I) = max{j - i} over the entries of betti_table(I), memoized on
+    I; `cache_info` and `cache_clear` read the memo."""
+    return betti_table(I).regularity()

@@ -31,7 +31,6 @@ from .graphs import (
 from .verify import (
     CHECK_NAMES,
     SweepParams,
-    lcm_symmetries,
     odd_girth_json,
     run_sweep,
     sweep_graphs,
@@ -129,7 +128,7 @@ def cmd_regularity(args):
     I = mon.power(mon.edge_ideal(G), args.power)
     engines = ("lcm", "hochster") if args.engine == "both" else (args.engine,)
     try:
-        table = betti_table(I, engines, lcm_symmetries(G, I))
+        table = betti_table(I, engines)
     except CapacityError as exc:
         raise CliError(f"capacity exceeded: {exc}") from exc
     obj = {

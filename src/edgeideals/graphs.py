@@ -535,8 +535,12 @@ def _canonical_search(n, edges):
     return (n, best), tuple(gens)
 
 
-# Criterion 1 makes 44 misses and 105 hits; `perfbench` keys criterion 8's
-# 155 graphs twice, and the Banerjee check reads their generators too.
+# Keyed on every graph checked and, through the lcm engine's orbit sums
+# (`betti._ideal_symmetries`), on the graph of every colon under the lcm
+# cap.  One seed-1 `perfbench` pass holds 201 entries on `banerjee_small`
+# and 44 on `vwc_main_theorem`.  Criterion 8 (all n <= 6) keys 313 graphs,
+# its 155 and 158 colon graphs, and misses each once: a graph is read only
+# during its own check, so the entries it evicts are not asked again.
 # Enumeration's keys never repeat: it bypasses the memo.
 @lru_cache(maxsize=1 << 8)
 def _canonical_memo(G):

@@ -9,10 +9,9 @@ theorem and carries both measured sides.  Capacity overruns skip.
 
 Regularities computed here use both Betti engines: each one within caps
 runs, and when both do their tables must agree entrywise.  A mismatch is
-verdict "error", carrying both tables, and the sweep goes on.  The
-regularity of I(G) or I(G)^s is asked with the generators of Aut(G)
-(`lcm_symmetries`), which the lcm engine sums over by orbits; a colon
-ideal is asked with none.
+verdict "error", carrying both tables, and the sweep goes on.  The lcm
+engine sums over the orbits of each ideal's own symmetries: for I(G)^s
+those of Aut(G), read from the memo `graph_code(G)` fills.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import __version__, betti
+from . import __version__
 from . import monomials as mon
 from .betti import CapacityError, EngineDisagreement, regularity
 from .evenconn import colon_graph
@@ -127,16 +126,6 @@ def _odd_girth_below(G, bound):
     return f"odd-girth {og} < {bound}" if og < bound else None
 
 
-def lcm_symmetries(G, I):
-    """The generators of Aut(G), which fix I = I(G)^s, for the lcm
-    engine's orbit sum; none when I is over that engine's generator cap,
-    where they would go unread, so `edgeideals regularity` never searches
-    a graph too large for the engine."""
-    if len(I.gens) > betti.LCM_MAX_GENERATORS:
-        return ()
-    return automorphism_generators(G)
-
-
 def check_katzman(G):
     """reg(I(G)) >= nu(G) + 1 on any graph with an edge."""
     inst = _instance_id(G)
@@ -145,7 +134,7 @@ def check_katzman(G):
     nu = induced_matching_number(G)
     I = mon.edge_ideal(G)
     try:
-        reg = regularity(I, lcm_symmetries(G, I))
+        reg = regularity(I)
     except (CapacityError, EngineDisagreement) as exc:
         return _unanswered("katzman", inst, exc)
     verdict = "pass" if reg >= nu + 1 else "fail"
@@ -162,7 +151,7 @@ def check_bht_lower_bound(G, s):
     nu = induced_matching_number(G)
     I = mon.power(mon.edge_ideal(G), s)
     try:
-        reg = regularity(I, lcm_symmetries(G, I))
+        reg = regularity(I)
     except (CapacityError, EngineDisagreement) as exc:
         return _unanswered("bht", inst, exc)
     bound = 2 * s + nu - 1
@@ -199,7 +188,7 @@ def _main_theorem(name, inst, G, s, k=None):
     nu = induced_matching_number(G)
     I = mon.power(mon.edge_ideal(G), s)
     try:
-        reg = regularity(I, lcm_symmetries(G, I))
+        reg = regularity(I)
     except (CapacityError, EngineDisagreement) as exc:
         return _unanswered(name, inst, exc)
     expected = 2 * s + nu - 1
@@ -335,11 +324,11 @@ def check_banerjee_recursion(G, s):
     I = mon.edge_ideal(G)
     Is = mon.power(I, s)
     Is1 = mon.power(I, s + 1)
-    perms = automorphism_generators(G)
     try:
-        lhs = regularity(Is1, perms)
-        rhs = regularity(Is, perms)
+        lhs = regularity(Is1)
+        rhs = regularity(Is)
         gens = Is.sorted_gens()
+        perms = automorphism_generators(G)
         for m_l in _orbit_representatives(gens, perms):
             colon = mon.colon_by_monomial(Is1, m_l)
             rhs = max(rhs, regularity(colon) + 2 * s)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from edgeideals import betti
+from edgeideals import betti, graphs
 from edgeideals.betti import (
     BettiTable,
     CapacityError,
@@ -45,8 +45,9 @@ from edgeideals.monomials import (
     edge_ideal,
     minimalize,
     power,
+    product_of_edges,
 )
-from edgeideals.verify import derive_k
+from edgeideals.verify import derive_k, graph_code
 from test_homology import fraction_boundary_rank, ranks_without_collapse
 
 
@@ -325,30 +326,60 @@ def symmetric_ideal(n, gens, perm):
     return minimalize(n, closed)
 
 
-def lcm_tables_agree(I, perms):
-    """The lcm table summed over orbits against the full sweep of both
-    engines, Hochster only where it fits its caps."""
-    table = betti_table_lcm(I, perms)
-    assert table == betti_table_lcm(I)
+def unsummed_lcm_table(I):
+    """The lcm table read over every lattice element: the engine with its
+    symmetry search patched to find nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "_ideal_symmetries", lambda I: ())
+        return betti_table_lcm(I)
+
+
+def lcm_tables_agree(I, G=None):
+    """The lcm table summed over the orbits of I's own symmetries against
+    the full sweep of both engines, Hochster only where it fits its caps;
+    given G, the graph the engine searched must be G itself."""
+    searched = []
+
+    def recorded(H):
+        searched.append(H)
+        return automorphism_generators(H)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "automorphism_generators", recorded)
+        table = betti_table_lcm(I)
+    if G is not None:
+        assert searched == [G]
+    assert table == unsummed_lcm_table(I)
     try:
         assert table == betti_table_hochster(I)
     except CapacityError:
         pass
 
 
+def bit_permutations(perms, tops):
+    """The vertex permutations `perms` as permutations of the polarized
+    bits of an ideal whose variable v has top exponent tops[v]."""
+    offsets = list(itertools.accumulate([0] + list(tops)))
+    return tuple(
+        [offsets[p[v]] + c for v in range(len(tops)) for c in range(tops[v])]
+        for p in perms
+    )
+
+
 class TestOrbitSweep:
     def test_criterion_1_powers(self):
-        # Every I(G)^s of criterion 1 under the lcm generator cap.
-        graphs = [G for m in (1, 2, 3, 4) for G in enumerate_vwc_graphs(m)]
-        graphs += [corona(cycle_graph(5)), corona(cycle_graph(7))]
+        # Every I(G)^s of criterion 1 under the lcm generator cap; the
+        # graph of I(G)^s is G.
+        family = [G for m in (1, 2, 3, 4) for G in enumerate_vwc_graphs(m)]
+        family += [corona(cycle_graph(5)), corona(cycle_graph(7))]
         checked = 0
-        for G in graphs:
+        for G in family:
             for s in (1, 2, 3):
                 I = power(I_of(G), s)
                 if s <= derive_k(G, s) - 2 and (
                     len(I.gens) <= betti.LCM_MAX_GENERATORS
                 ):
-                    lcm_tables_agree(I, automorphism_generators(G))
+                    lcm_tables_agree(I, G)
                     checked += 1
         assert checked == 51
 
@@ -359,11 +390,27 @@ class TestOrbitSweep:
             for G in enumerate_all_graphs(n, allow_isolated=True):
                 if not G.edges:
                     continue
-                perms = automorphism_generators(G)
                 for s in (1, 2):
                     I = power(I_of(G), s)
                     if len(I.gens) <= betti.LCM_MAX_GENERATORS:
-                        lcm_tables_agree(I, perms)
+                        lcm_tables_agree(I, G)
+
+    def test_banerjee_colons(self):
+        # The colons I^2 : e of every graph on at most 6 vertices under
+        # the lcm cap, the ideals criterion 8 asks: edges and squares,
+        # searched by the graph without the squares.
+        colons = {
+            colon_by_monomial(power(I_of(G), 2), product_of_edges(n, [e]))
+            for n in range(2, 7) for G in enumerate_all_graphs(n)
+            for e in G.sorted_edges
+        }
+        colons = [
+            J for J in colons if len(J.gens) <= betti.LCM_MAX_GENERATORS
+        ]
+        for J in colons:
+            lcm_tables_agree(J)
+        assert len(colons) == 497
+        assert sum(bool(betti._ideal_symmetries(J)) for J in colons) == 418
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -385,7 +432,7 @@ class TestOrbitSweep:
         G = Graph(n, frozenset(edges))
         I = power(I_of(G), s)
         assume(len(I.gens) <= betti.LCM_MAX_GENERATORS)
-        lcm_tables_agree(I, automorphism_generators(G))
+        lcm_tables_agree(I, G)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -402,12 +449,13 @@ class TestOrbitSweep:
         )
     )
     def test_ideals_closed_under_a_permutation(self, case):
-        # Top exponents that differ between variables, each kept by the
-        # permutation, and orbits of every length it gives.
+        # Top exponents that differ between variables, and generators of
+        # every support size, so the graph's automorphisms may or may not
+        # fix the ideal.
         n, gens, perm = case
         I = symmetric_ideal(n, gens, perm)
         assume(len(I.gens) <= betti.LCM_MAX_GENERATORS)
-        lcm_tables_agree(I, (tuple(perm),))
+        lcm_tables_agree(I)
 
     @pytest.mark.parametrize("G", [
         cycle_graph(5), complete_graph(4), path_graph(4), corona(cycle_graph(5)),
@@ -415,7 +463,7 @@ class TestOrbitSweep:
     @pytest.mark.parametrize("s", [1, 2])
     def test_orbits_partition_the_lattice(self, G, s):
         I = power(I_of(G), s)
-        perms = betti._bit_permutations(I, automorphism_generators(G))
+        perms = betti._ideal_symmetries(I)
         lattice = lcm_lattice(I)
         orbits = list(betti._lattice_orbits(lattice, perms))
         assert sum(size for _, size in orbits) == len(lattice)
@@ -427,53 +475,119 @@ class TestOrbitSweep:
         assert len(orbits) < len(lattice)
 
     def test_no_symmetries_walk_no_orbit(self, monkeypatch):
-        # An ideal given no permutation, or only ones that move no
-        # polarized bit (the swap of two isolated vertices), reads every
-        # element.
+        # An ideal whose graph's automorphisms move no polarized bit (the
+        # swap of two isolated vertices) or fix no generator set (the
+        # reversal of P3 against x0^2) reads every element.
         def refuse(*args):
             raise AssertionError("walked an orbit")
 
-        monkeypatch.setattr(betti, "_mask_orbit", refuse)
+        J = MonomialIdeal(3, frozenset({(1, 1, 0), (0, 1, 1), (2, 0, 0)}))
         I = I_of(Graph(4, frozenset({(0, 1)})))
-        assert betti_table_lcm(I) == betti_table_lcm(I, ((0, 1, 3, 2),))
-        assert betti._bit_permutations(I, ((0, 1, 3, 2),)) == ()
+        table = betti_table_lcm(I)
+        monkeypatch.setattr(betti, "_mask_orbit", refuse)
+        assert betti_table_lcm(J) == betti_table_hochster(J)
+        monkeypatch.setattr(
+            betti, "automorphism_generators", lambda H: ((0, 1, 3, 2),)
+        )
+        assert betti._ideal_symmetries(I) == ()
+        assert betti_table_lcm(I) == table
 
-    def test_a_wrong_symmetry_raises(self):
-        I = I_of(path_graph(3))
-        # Swapping the ends of P3's first edge sends x1*x2 to x0*x2.
-        with pytest.raises(ValueError, match="outside the ideal"):
-            betti_table_lcm(I, ((1, 0, 2),))
-        with pytest.raises(ValueError, match="not a permutation of the 3"):
-            betti_table_lcm(I, ((1, 0),))
-        with pytest.raises(ValueError, match="not a permutation of the 3"):
-            betti_table_lcm(I, ((0, 0, 2),))
-        # x0^2 and x1 have top exponents 2 and 1.
-        J = MonomialIdeal(2, frozenset({(2, 0), (0, 1)}))
-        with pytest.raises(ValueError, match="top exponent differs"):
-            betti_table_lcm(J, ((1, 0),))
-        # The reversal of P3 fixes I(P3); so does the identity.
-        assert betti_table_lcm(I, ((2, 1, 0), (0, 1, 2))) == betti_table_lcm(I)
+    def test_a_generator_off_the_ideal_is_dropped(self, monkeypatch):
+        # In (x0x1, x1x2, x0x3x4) the graph is P3 plus two isolated
+        # vertices: (0 2) sends x0x3x4 outside the ideal, (3 4) fixes it.
+        I = MonomialIdeal(5, frozenset({
+            (1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, 0, 1, 1),
+        }))
+        swap = bit_permutations([(0, 1, 2, 4, 3)], [1] * 5)
+        assert betti._ideal_symmetries(I) == swap
+        lcm_tables_agree(I)
+        # In (x0x1, x1x2, x0^2), (0 2) moves x0, of top exponent 2, to x2,
+        # of top exponent 1.
+        J = MonomialIdeal(3, frozenset({(1, 1, 0), (0, 1, 1), (2, 0, 0)}))
+        assert betti._ideal_symmetries(J) == ()
 
-    def test_regularity_and_betti_table_pass_them_on(self, monkeypatch):
+        def offer(*perms):
+            monkeypatch.setattr(
+                betti, "automorphism_generators", lambda H: perms
+            )
+
+        # Whatever the search returns, only what fixes the ideal is kept,
+        # and the table does not change.
+        offer((2, 1, 0, 4, 3), (2, 1, 0, 3, 4), (0, 1, 2, 3, 4),
+              (0, 1, 2, 4, 3))
+        assert betti._ideal_symmetries(I) == swap
+        assert betti_table_lcm(I) == betti_table_hochster(I)
+        # Swapping the ends of P3's first edge sends x1*x2 to x0*x2; x0^2
+        # and x1 have top exponents 2 and 1; the reversal of P3 fixes
+        # I(P3), and the identity is left out.
+        P3 = I_of(path_graph(3))
+        offer((1, 0, 2))
+        assert betti._ideal_symmetries(P3) == ()
+        offer((1, 0))
+        K = MonomialIdeal(2, frozenset({(2, 0), (0, 1)}))
+        assert betti._ideal_symmetries(K) == ()
+        assert betti_table_lcm(K) == betti_table_hochster(K)
+        offer((2, 1, 0), (0, 1, 2))
+        assert betti._ideal_symmetries(P3) == ([2, 1, 0],)
+        assert betti_table_lcm(P3) == betti_table_hochster(P3)
+
+    def test_no_search_over_the_lcm_cap(self, monkeypatch):
+        # I(C5)^2 has 15 generators and gets Aut(C5)'s, copy c of x_v to
+        # copy c of its image; I(P30) has 29, over the lcm cap, and its
+        # graph is never searched.
         G = cycle_graph(5)
         I = power(I_of(G), 2)
-        perms = automorphism_generators(G)
-        seen = []
+        assert betti._ideal_symmetries(I) == bit_permutations(
+            automorphism_generators(G), [2] * 5
+        )
+
+        def refuse(n, edges):
+            raise AssertionError("searched the graph")
+
+        graphs._canonical_memo.cache_clear()
+        monkeypatch.setattr(graphs, "_canonical_search", refuse)
+        with pytest.raises(CapacityError, match="lcm generator cap"):
+            betti_table_lcm(I_of(path_graph(30)))
+
+    @pytest.mark.parametrize("G, s", [
+        (corona(cycle_graph(5)), 1), (cycle_graph(5), 2),
+    ])
+    def test_a_power_costs_no_new_search(self, G, s, monkeypatch):
+        # Once graph_code(G) has run, the orbit sum of I(G)^s reads
+        # Aut(G) from the canonical-key memo: no graph is searched.
+        graph_code(G)
+
+        def refuse(n, edges):
+            raise AssertionError("searched a graph")
+
+        reads = []
+        relation = betti._slack_relation
+
+        def counted(w, tables):
+            reads.append(w)
+            return relation(w, tables)
+
+        monkeypatch.setattr(graphs, "_canonical_search", refuse)
+        monkeypatch.setattr(betti, "_slack_relation", counted)
+        I = power(I_of(G), s)
+        betti_table_lcm(I)
+        assert 0 < len(reads) < len(lcm_lattice(I))
+
+    def test_regularity_is_memoized_on_the_ideal(self, monkeypatch):
+        G = cycle_graph(5)
+        I = power(I_of(G), 2)
+        calls = []
         lcm = betti.betti_table_lcm
 
-        def recorded(I, symmetries=()):
-            seen.append(symmetries)
-            return lcm(I, symmetries)
+        def counted(I):
+            calls.append(I)
+            return lcm(I)
 
-        monkeypatch.setattr(betti, "betti_table_lcm", recorded)
+        monkeypatch.setattr(betti, "betti_table_lcm", counted)
         regularity.cache_clear()
-        assert regularity(I, perms) == 4
-        assert betti_table(I, ("lcm",), perms).rows() == betti_table(I).rows()
-        assert seen == [perms, perms, ()]
-        # The memo is keyed on the ideal alone: asked again without them,
-        # as the colon equal to an edge ideal is, it hits.
         assert regularity(I) == 4
-        assert regularity.cache_info().hits == 1 and len(seen) == 3
+        assert regularity(I) == 4
+        assert regularity.cache_info().hits == 1 and calls == [I]
 
 
 # Relations of 1-8 rows over 1-10 columns, as row masks.

@@ -181,9 +181,9 @@ class TestRegularity:
         calls = []
         lcm = betti.betti_table_lcm
 
-        def counted(I, symmetries=()):
+        def counted(I):
             calls.append(I)
-            return lcm(I, symmetries)
+            return lcm(I)
 
         monkeypatch.setattr(betti, "betti_table_lcm", counted)
         betti.regularity.cache_clear()
@@ -194,17 +194,18 @@ class TestRegularity:
         self, capsys, graph_file, monkeypatch
     ):
         # I(C5)^2 has 15 generators, so the lcm engine answers it alone,
-        # with the generators of Aut(C5), of order 10; the output holds
-        # the bytes the sweep over every lattice element printed.
+        # with the generators of Aut(C5), of order 10, which it finds from
+        # the ideal; the output holds the bytes the sweep over every
+        # lattice element printed.
         G = cycle_graph(5)
         seen = []
-        lcm = betti.betti_table_lcm
+        find = betti._ideal_symmetries
 
-        def recorded(I, symmetries=()):
-            seen.append(symmetries)
-            return lcm(I, symmetries)
+        def recorded(I):
+            seen.append(find(I))
+            return seen[-1]
 
-        monkeypatch.setattr(betti, "betti_table_lcm", recorded)
+        monkeypatch.setattr(betti, "_ideal_symmetries", recorded)
         betti.regularity.cache_clear()
         argv = ["regularity", "--graph", graph_file(G), "--engine", "lcm",
                 "--power", "2"]
@@ -213,7 +214,10 @@ class TestRegularity:
             "    0  1  2\n"
             " 4 15 24 10\n"
         ))
-        assert seen == [automorphism_generators(G)]
+        assert seen == [tuple(
+            [2 * p[v] + c for v in range(5) for c in range(2)]
+            for p in automorphism_generators(G)
+        )]
         code, out = run(capsys, argv + ["--format", "json"])
         assert code == 0 and out == (
             '{\n  "betti": [\n'

@@ -87,21 +87,6 @@ class TestIndividualChecks:
         for s in (1, 2):
             assert check_bht_lower_bound(cycle_graph(5), s).verdict == "pass"
 
-    def test_lcm_symmetries_only_within_the_lcm_cap(self, monkeypatch):
-        # I(C5)^2 has 15 generators and gets Aut(C5)'s; I(P30) has 29,
-        # over the lcm cap, and gets none without a search of the graph.
-        G = cycle_graph(5)
-        I = mon.power(edge_ideal(G), 2)
-        assert verify.lcm_symmetries(G, I) == graphs.automorphism_generators(G)
-
-        def refuse(n, edges):
-            raise AssertionError("searched the graph")
-
-        graphs._canonical_memo.cache_clear()
-        monkeypatch.setattr(graphs, "_canonical_search", refuse)
-        G = path_graph(30)
-        assert verify.lcm_symmetries(G, edge_ideal(G)) == ()
-
     def test_main_theorem_on_corona_c7(self):
         # corona(C7): odd-girth 7, so k = 3 and s = 1 is in range;
         # reg(I) = 2*1 + nu - 1 = nu + 1 = 4.
@@ -193,11 +178,11 @@ class TestBanerjeeOrbits:
         # over it must give the reason the first generator over it gave.
         regularity = verify.regularity
 
-        def capped(I, symmetries=()):
+        def capped(I):
             degrees = {mon.degree(g) for g in I.gens}
             if degrees == {2} and not I.is_squarefree:
                 raise CapacityError(f"{len(I.gens)} generators, a test cap")
-            return regularity(I, symmetries)
+            return regularity(I)
 
         monkeypatch.setattr(verify, "regularity", capped)
         reasons = set()
@@ -222,8 +207,10 @@ class TestBanerjeeOrbits:
         assert len(calls) == 1
 
     def test_one_canonical_search_per_graph(self, monkeypatch):
-        # The instance id and the automorphisms of the orbit walk read
-        # one memo entry, so the graph is searched once.
+        # The instance id, the orbit sums of I and I^2 and the orbit walk
+        # of the colons read one memo entry, so the graph is searched
+        # once.  The one colon of edge-transitive C5, I^2 : x3x4, is I
+        # plus the chord x0x2, and its orbit sum searches that graph.
         search = graphs._canonical_search
         calls = []
 
@@ -233,10 +220,11 @@ class TestBanerjeeOrbits:
 
         monkeypatch.setattr(graphs, "_canonical_search", counted)
         graphs._canonical_memo.cache_clear()
+        verify.regularity.cache_clear()
         G = cycle_graph(5)
         graph_code(G)
         assert check_banerjee_recursion(G, 1).verdict == "pass"
-        assert calls == [G.edges]
+        assert calls == [G.edges, G.edges | {(0, 2)}]
 
     def test_a_permutation_off_the_ideal_raises(self):
         # Swapping the ends of P3's first edge sends x1*x2 to x0*x2.
