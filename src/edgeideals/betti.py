@@ -663,14 +663,16 @@ def _ideal_symmetries(I):
     candidates.  For I = I(G)^s, H = G: (x_u x_v)^s is a minimal
     generator exactly when uv is an edge, and a generator on {u, v} is a
     product of edges inside it; a colon I^2 : e, edges and squares x_u^2,
-    gives its graph.  Each candidate, as a
-    vertex permutation p, is kept only when it keeps each variable's top
-    exponent e_v (its number of copies) and, with copy c of v sent to
-    copy c of p[v], maps the set of generator masks onto itself.  Then p
-    fixes I, so it permutes the lattice and maps each interval onto an
-    isomorphic one.  Any other generator is dropped, so the kept ones
-    span a subgroup of the stabilizer, enough for an orbit sum, and a
-    wrong group never reaches a table."""
+    gives its graph.  Each candidate p sends copy c of v to copy c of
+    p[v] and is kept only when that maps the set of generator masks onto
+    itself.  The map is then a permutation of the bits, even where p
+    moves v to a variable with another top exponent: no image has more
+    bits than its mask, so each mask keeps its bit count, and every bit
+    lies in a mask.  It fixes the polarized ideal, so it permutes the
+    lattice and maps each interval onto an isomorphic one.  Any other
+    candidate is dropped, so the kept ones span a subgroup of the
+    stabilizer, enough for an orbit sum, and a wrong group never reaches
+    a table."""
     edges = set()
     for g in I.gens:
         support = [v for v, e in enumerate(g) if e]
@@ -686,8 +688,6 @@ def _ideal_symmetries(I):
     gens = set(masks)
     out = []
     for p in perms:
-        if any(tops[v] != tops[image] for v, image in enumerate(p)):
-            continue
         bits = [0] * nbits
         for v, image in enumerate(p):
             for c in range(tops[v]):

@@ -328,8 +328,7 @@ def check_banerjee_recursion(G, s):
         lhs = regularity(Is1)
         rhs = regularity(Is)
         gens = Is.sorted_gens()
-        perms = automorphism_generators(G)
-        for m_l in _orbit_representatives(gens, perms):
+        for m_l in _orbit_representatives(gens, automorphism_generators(G)):
             colon = mon.colon_by_monomial(Is1, m_l)
             rhs = max(rhs, regularity(colon) + 2 * s)
     except (CapacityError, EngineDisagreement) as exc:

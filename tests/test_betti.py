@@ -533,8 +533,8 @@ class TestOrbitSweep:
 
     def test_no_search_over_the_lcm_cap(self, monkeypatch):
         # I(C5)^2 has 15 generators and gets Aut(C5)'s, copy c of x_v to
-        # copy c of its image; I(P30) has 29, over the lcm cap, and its
-        # graph is never searched.
+        # copy c of its image; I(P30) has 29, over the lcm generator cap,
+        # and its graph is never searched.
         G = cycle_graph(5)
         I = power(I_of(G), 2)
         assert betti._ideal_symmetries(I) == bit_permutations(
@@ -548,6 +548,11 @@ class TestOrbitSweep:
         monkeypatch.setattr(graphs, "_canonical_search", refuse)
         with pytest.raises(CapacityError, match="lcm generator cap"):
             betti_table_lcm(I_of(path_graph(30)))
+        # Nor is the graph of an ideal over the lattice cap.
+        betti.lcm_lattice.cache_clear()
+        monkeypatch.setattr(betti, "LATTICE_CAP", 100)
+        with pytest.raises(CapacityError, match="lcm lattice exceeded"):
+            betti_table_lcm(I)
 
     @pytest.mark.parametrize("G, s", [
         (corona(cycle_graph(5)), 1), (cycle_graph(5), 2),
