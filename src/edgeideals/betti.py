@@ -682,7 +682,7 @@ def _ideal_symmetries(I):
     if not perms:
         return ()
     nbits, masks, _ = polarize(I)
-    tops = list(map(max, zip(*I.sorted_gens())))
+    tops = list(map(max, zip(*I.gens)))
     offsets = list(accumulate(tops, initial=0))
     identity = list(range(nbits))
     gens = set(masks)
