@@ -217,4 +217,4 @@ def colon_ideal_by_algebra(G, edges):
     product = normalize_edge_product(G, edges)
     I = mon.edge_ideal(G)
     m = mon.product_of_edges(G.n, product)
-    return mon.colon_by_monomial(mon.power(I, len(product) + 1), m)
+    return mon.colon_by_monomial(I, m, len(product) + 1)

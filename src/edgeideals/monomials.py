@@ -22,7 +22,11 @@ With H the mask of the guard bits:
   of H, once m's exponents are clipped to the largest exponent of the
   ideal, which changes no quotient.
 
-Only the surviving monomials are unpacked into tuples.
+The minimal generators of a power I^s are kept packed, in one memo keyed
+on the base ideal I and s (`_packed_power`).  `power` unpacks them, and
+`colon_by_monomial(I, m, s)` takes (I^s : m) from them directly, so a
+colon of a power never builds the power as tuples.  Only the surviving
+monomials are unpacked.
 """
 
 from __future__ import annotations
@@ -190,53 +194,73 @@ def edge_ideal(G):
     return MonomialIdeal(G.n, frozenset(gens))
 
 
-@lru_cache(maxsize=128)
 def power(I, s):
-    """Minimal generating set of I^s.
+    """Minimal generating set of I^s, unpacked from `_packed_power`.
 
-    Products of s generators generate I^s.  They are formed as sums of
-    packed generators, in fields wide enough for s times the largest
-    exponent; a final minimalization pass removes non-minimal products.
-    Whenever all products share a degree (every power of an edge ideal,
-    or of any equigenerated ideal) that pass is an O(k) deduplication.
-    """
-    if s < 1:
-        raise IdealError("power exponent must be >= 1")
+    Holds no memo of its own: the packed generators are the memo, shared
+    with `colon_by_monomial`, and a caller that needs the tuples unpacks
+    them again."""
+    _check_power_exponent(s)
     if s == 1 or I.is_zero or I.is_unit:
         return I
-    w = _width(s * _largest_exponent(I.gens))
+    _, w, packed = _packed_power(I, s)
+    return MonomialIdeal(I.nvars, frozenset(_unpack(packed, I.nvars, w)))
+
+
+def _check_power_exponent(s):
+    if s < 1:
+        raise IdealError(f"power exponent must be >= 1, got {s!r}")
+
+
+# Keyed on the small base ideal I and s > 1, never on the power itself.
+# One seed-1 `perfbench` pass (`tools/memo_report.py`) leaves 89 entries,
+# 2.8 MB, on `ideal_arith` and hits 345 of its 434 calls, one per colon
+# and per power: the colons by products of one graph share an entry.  On
+# `banerjee_small` it leaves 53 entries and hits 153 of 206 calls, I^2 of
+# each graph missing once and then serving its colons; on
+# `vwc_main_theorem`, 54 entries and no hits, one per power checked.
+@lru_cache(maxsize=128)
+def _packed_power(I, s):
+    """(top, w, packed): top = s times I's largest exponent, which bounds
+    every exponent of I^s; w, the field width that holds top; and the
+    minimal generators of I^s packed in fields of that width.
+
+    Products of s generators generate I^s; they are formed as sums of
+    packed generators.  When I's generators share a degree, so do the
+    distinct products, and none divides another; otherwise `_antichain`
+    keeps the minimal ones, still packed."""
+    top = s * _largest_exponent(I.gens)
+    w = _width(top)
     base = _pack(I.gens, w)
     prods = set(base)
     for _ in range(s - 1):
         prods = {a + b for a in prods for b in base}
-    return minimalize(I.nvars, _unpack(prods, I.nvars, w))
+    if len(set(map(sum, I.gens))) > 1:
+        prods = _antichain(prods, _guard(I.nvars, w))
+    return top, w, tuple(prods)
 
 
-# As many entries as `power`'s memo: the colons of one cached power share
-# its packed generators.
-@lru_cache(maxsize=128)
-def _packed_gens(I):
-    """(top, w, packed): I's largest exponent, the field width that holds
-    it, and I's generators packed in fields of that width."""
-    top = _largest_exponent(I.gens)
-    w = _width(top)
-    return top, w, tuple(_pack(I.gens, w))
+def colon_by_monomial(I, m, s=1):
+    """The quotient ideal (I^s : m) for a monomial m: the minimal ones
+    among the colon quotients of the minimal generators of I^s, each
+    exponent of a generator less that of m, floored at zero.  With s = 1
+    this is (I : m).
 
-
-def colon_by_monomial(I, m):
-    """The quotient ideal (I : m) for a monomial m: the minimal ones among
-    the colon quotients of I's generators, each exponent of a generator
-    less that of m, floored at zero.
-
-    The quotients are taken packed, in fields wide enough for I's largest
-    exponent, top; m's exponents are clipped to top first, which changes
-    no quotient, so m may have larger exponents than any generator."""
+    I^s is never built as tuples: its packed generators come from
+    `_packed_power(I, s)`, in fields wide enough for top, s times I's
+    largest exponent.  m's exponents are clipped to top first, which
+    changes no quotient, so m may have larger exponents than any
+    generator.  IdealError for an m of the wrong arity or with a negative
+    exponent, and for s < 1."""
+    _check_power_exponent(s)
     if len(m) != I.nvars:
         raise IdealError("monomial arity does not match the ideal")
+    if any(e < 0 for e in m):
+        raise IdealError(f"monomial {m} has a negative exponent")
     if I.is_zero or I.is_unit:
         return I
     n = I.nvars
-    top, w, packed = _packed_gens(I)
+    top, w, packed = _packed_power(I, s)
     H = _guard(n, w)
     shift, ones = 8 * w - 1, (1 << 8 * w) - 1
     low = H ^ ((1 << 8 * w * n) - 1)

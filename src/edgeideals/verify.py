@@ -238,17 +238,11 @@ def check_lemma_colon_iteration(G, m, i):
     if reason:
         return _skipped(name, inst, reason)
     I = mon.edge_ideal(G)
-    lhs = mon.colon_by_monomial(
-        mon.power(I, s + 1), mon.product_of_edges(G.n, m)
-    )
-    e_i = m[i]
-    base = mon.colon_by_monomial(
-        mon.power(I, 2), mon.product_of_edges(G.n, [e_i])
-    )
+    lhs = mon.colon_by_monomial(I, mon.product_of_edges(G.n, m), s + 1)
+    base = mon.colon_by_monomial(I, mon.product_of_edges(G.n, [m[i]]), 2)
+    # With no other factor, rest's product is 1 and the colon is base^s.
     rest = [e for j, e in enumerate(m) if j != i]
-    rhs = mon.power(base, s)
-    if rest:
-        rhs = mon.colon_by_monomial(rhs, mon.product_of_edges(G.n, rest))
+    rhs = mon.colon_by_monomial(base, mon.product_of_edges(G.n, rest), s)
     ok = mon.equals(lhs, rhs)
     return CheckResult(
         name, inst, "pass" if ok else "fail",
@@ -329,7 +323,7 @@ def check_banerjee_recursion(G, s):
         rhs = regularity(Is)
         gens = Is.sorted_gens()
         for m_l in _orbit_representatives(gens, automorphism_generators(G)):
-            colon = mon.colon_by_monomial(Is1, m_l)
+            colon = mon.colon_by_monomial(I, m_l, s + 1)
             rhs = max(rhs, regularity(colon) + 2 * s)
     except (CapacityError, EngineDisagreement) as exc:
         return _unanswered(name, inst, exc)

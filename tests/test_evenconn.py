@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from edgeideals import monomials
 from edgeideals.evenconn import (
     EvenConnectionError,
     EvenConnectionWitness,
@@ -17,6 +18,7 @@ from edgeideals.evenconn import (
     validate_witness,
 )
 from edgeideals.generators import (
+    corona,
     cycle_graph,
     enumerate_all_graphs,
     path_graph,
@@ -126,6 +128,20 @@ class TestColonGraph:
         Q = colon_graph(G, [(1, 2)])
         assert Q.new_edges(G) == [(0, 3)]
         assert equals(Q.as_ideal(), colon_ideal_by_algebra(G, [(1, 2)]))
+
+    def test_algebra_never_builds_the_power(self, monkeypatch):
+        # (I^3 : e1 e2) comes from the packed generators of I^3, which
+        # are never unpacked into the ideal I^3.
+        def refuse(I, s):
+            raise AssertionError(f"power(I, {s}) was built")
+
+        monkeypatch.setattr(monomials, "power", refuse)
+        G = corona(cycle_graph(5))
+        product = [(0, 1), (2, 3)]
+        assert equals(
+            colon_graph(G, product).as_ideal(),
+            colon_ideal_by_algebra(G, product),
+        )
 
     def test_witnesses_all_validate(self):
         G = cycle_graph(5)

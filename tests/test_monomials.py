@@ -23,6 +23,7 @@ from edgeideals.monomials import (
     product_of_edges,
     variable,
 )
+from edgeideals.monomials import _packed_power
 from edgeideals.generators import cycle_graph, path_graph
 
 
@@ -358,6 +359,50 @@ class TestPackedKernel:
         m = tuple(exps[:nvars])
         expected = reference_minimal(colon_quotient(g, m) for g in I.gens)
         assert colon_by_monomial(I, m).gens == expected
+
+    @settings(deadline=None)
+    @given(
+        wide_ideals(),
+        st.integers(1, 3),
+        st.lists(st.one_of(exponents, st.integers(2**64, 2**66)),
+                 min_size=6, max_size=6),
+    )
+    # s times the largest exponent is 127, the largest one-byte field,
+    # and 128, the first that needs two bytes; a mixed-degree ideal; the
+    # zero and the unit ideal; m beyond every exponent of I^s.
+    @example((2, [(127, 0), (1, 1)]), 1, [1, 0])
+    @example((2, [(64, 0), (1, 1)]), 2, [64, 1])
+    @example((3, [(2, 0, 0), (1, 1, 0), (0, 0, 1)]), 3, [1, 0, 0])
+    @example((3, []), 2, [1, 2**70, 0])
+    @example((3, [(0, 0, 0), (1, 0, 0)]), 3, [1, 2**70, 0])
+    @example((2, [(2, 1), (0, 3)]), 3, [7, 2**70])
+    def test_colon_of_power(self, case, s, exps):
+        nvars, gens = case
+        I = minimalize(nvars, gens)
+        m = tuple(exps[:nvars])
+        expected = reference_minimal(
+            colon_quotient(g, m) for g in reference_power(I.gens, s)
+        )
+        assert colon_by_monomial(I, m, s).gens == expected
+
+    def test_power_and_its_colons_share_one_memo_entry(self):
+        I = edge_ideal(cycle_graph(5))
+        _packed_power.cache_clear()
+        power(I, 3)
+        colon_by_monomial(I, (1, 1, 0, 0, 0), 3)
+        colon_by_monomial(I, (0, 1, 1, 0, 0), 3)
+        info = _packed_power.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_colon_refuses_a_negative_exponent_and_s_below_one(self):
+        # Before, a negative exponent reached the packing and raised a
+        # ValueError about bytes; the zero ideal is checked as well.
+        for I in (minimalize(2, [(1, 1)]), MonomialIdeal(2, frozenset())):
+            with pytest.raises(IdealError, match=r"\(-1, 0\)"):
+                colon_by_monomial(I, (-1, 0))
+            for s in (0, -2):
+                with pytest.raises(IdealError, match=f"got {s}"):
+                    colon_by_monomial(I, (1, 0), s)
 
     def test_wrong_arity_is_refused_before_packing(self):
         # Cut to two variables, the longer tuple is a multiple of the

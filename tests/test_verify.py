@@ -198,9 +198,9 @@ class TestBanerjeeOrbits:
         colon_by_monomial = mon.colon_by_monomial
         calls = []
 
-        def counted(I, m):
+        def counted(I, m, s=1):
             calls.append(m)
-            return colon_by_monomial(I, m)
+            return colon_by_monomial(I, m, s)
 
         monkeypatch.setattr(mon, "colon_by_monomial", counted)
         assert check_banerjee_recursion(G, 1).verdict == "pass"
