@@ -19,8 +19,8 @@ With H the mask of the guard bits:
   and leaves the guard set exactly when q_i >= k_i;
 - the colon quotient of g by m, each exponent g_i - m_i floored at zero,
   is d = (g | H) - m kept on the fields whose guard survived and cleared
-  of H, once m's exponents are clipped to the largest exponent of the
-  ideal, which changes no quotient.
+  of H, once m's exponents are clipped to a bound on every exponent of
+  the ideal, which changes no quotient.
 
 The minimal generators of a power I^s are kept packed, in one memo keyed
 on the base ideal I and s (`_packed_power`).  `power` unpacks them, and
@@ -212,7 +212,8 @@ def _check_power_exponent(s):
         raise IdealError(f"power exponent must be >= 1, got {s!r}")
 
 
-# Keyed on the small base ideal I and s > 1, never on the power itself.
+# Keyed on the small base ideal I and s, never on the power itself;
+# `power(I, 1)` returns I without reading it.
 # One seed-1 `perfbench` pass (`tools/memo_report.py`) leaves 89 entries,
 # 2.8 MB, on `ideal_arith` and hits 345 of its 434 calls, one per colon
 # and per power: the colons by products of one graph share an entry.  On
