@@ -395,8 +395,9 @@ class TestPackedKernel:
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     def test_colon_refuses_a_negative_exponent_and_s_below_one(self):
-        # Before, a negative exponent reached the packing and raised a
-        # ValueError about bytes; the zero ideal is checked as well.
+        # Refused before packing, where a negative exponent would raise a
+        # ValueError about bytes; the zero ideal, which returns early,
+        # is checked as well.
         for I in (minimalize(2, [(1, 1)]), MonomialIdeal(2, frozenset())):
             with pytest.raises(IdealError, match=r"\(-1, 0\)"):
                 colon_by_monomial(I, (-1, 0))
