@@ -84,9 +84,10 @@ Tables are indexed on the ideal I, not R/I: reg(I) = reg(R/I) + 1.
 Everything is over the rationals via exact integer ranks.
 
 Both engines enforce the fixed capacity limits below and raise
-CapacityError rather than degrade silently.  `betti_table` runs each
-requested engine that fits its limits and requires the tables to agree
-when two answer.
+CapacityError rather than degrade silently.  Each engine is public and
+stamps the table it returns with its own name.  `betti_table` is the one
+rule that runs them: it runs both, requires their tables to agree when
+both answer, and raises CapacityError only when both refuse.
 
 The restriction, relation, core, polarization, lattice and regularity
 memos are bounded `lru_cache`s; `cache_info()` reads their hits.
@@ -133,7 +134,8 @@ HOMOLOGY_FACE_CAP = 30000
 class BettiTable:
     """Map (homological degree i, internal degree j) -> positive rank.
 
-    `engines` names the engines that answered with this table; equality
+    `engines` names the engines that answered with this table: one
+    engine's own name, or those that answered `betti_table`.  Equality
     compares entries only.
     """
 
@@ -226,12 +228,12 @@ def _poly_mul(a, b):
 
 def _submask_faces(masks):
     """Nonempty faces of the union of the simplices on the given masks:
-    every nonempty submask of one of them.  Larger masks go first, so a
-    mask already listed lies inside an enumerated simplex and is skipped."""
+    every nonempty submask of one of them.  Each caller passes an
+    antichain, so every mask is a facet: Hochster the complements of
+    minimal nonfaces, the lcm engine the rows or columns of a Dowker
+    core."""
     faces = set()
-    for s in sorted(masks, key=int.bit_count, reverse=True):
-        if s in faces:
-            continue
+    for s in masks:
         sub = s
         while sub:
             faces.add(sub)
@@ -589,7 +591,7 @@ def betti_table_hochster(I):
         for e, r in enumerate(poly):
             if r:  # rank of H~_(e-1) of the restriction to w
                 entries[(j - e - 1, j)] = entries.get((j - e - 1, j), 0) + r
-    return BettiTable(entries)
+    return BettiTable(entries, ("hochster",))
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +852,7 @@ def betti_table_lcm(I):
         for d, r in _relation_ranks(tuple(sorted(set(rows))), k).items():
             i = d + 1
             entries[(i, j)] = entries.get((i, j), 0) + r * size
-    return BettiTable(entries)
+    return BettiTable(entries, ("lcm",))
 
 
 # ---------------------------------------------------------------------------
@@ -858,47 +860,34 @@ def betti_table_lcm(I):
 # ---------------------------------------------------------------------------
 
 
-def _check_engines(engines):
-    if engines not in (("lcm",), ("hochster",), ("lcm", "hochster")):
-        raise ValueError(
-            f"engines must be ('lcm',), ('hochster',) or "
-            f"('lcm', 'hochster'), not {engines!r}"
-        )
+def betti_table(I):
+    """Betti table of I from both engines, each that fits its limits.
 
-
-def betti_table(I, engines=("lcm", "hochster")):
-    """Betti table of I from every listed engine that fits its limits.
-
-    Tables from two engines must agree entrywise, else EngineDisagreement.
-    CapacityError only when no listed engine fits.  The returned table
-    records the engines that answered in `engines`.  The lcm engine sums
-    over the orbits of I's own symmetries (`betti_table_lcm`); Hochster
-    sweeps every element, so a two-engine answer referees the orbit sum.
+    When both answer, their tables must agree entrywise, else
+    EngineDisagreement; CapacityError only when both refuse.  The returned
+    table records the engines that answered in `engines`.  The lcm engine
+    sums over the orbits of I's own symmetries (`betti_table_lcm`);
+    Hochster sweeps every element, so a two-engine answer referees the
+    orbit sum.  A single engine is `betti_table_lcm` or
+    `betti_table_hochster` itself.
     """
-    _check_engines(engines)
-    _check_ideal(I)
-    tables, errors = {}, []
-    for name in engines:
-        # Looked up at call time, so rebinding the module attributes
-        # reaches every engine run.
+    tables, names, errors = [], [], []
+    # The engines are looked up at call time, so rebinding the module
+    # attributes reaches every engine run.
+    for name, engine in (
+        ("lcm", betti_table_lcm), ("hochster", betti_table_hochster)
+    ):
         try:
-            if name == "lcm":
-                tables[name] = betti_table_lcm(I)
-            else:
-                tables[name] = betti_table_hochster(I)
+            tables.append(engine(I))
         except CapacityError as exc:
-            errors.append(exc)
+            errors.append(str(exc))
+        else:
+            names.append(name)
     if not tables:
-        if len(errors) == 1:
-            raise errors[0]
-        raise CapacityError(
-            "both engines over capacity: " + "; ".join(map(str, errors))
-        )
-    if len(tables) == 2 and tables["lcm"] != tables["hochster"]:
-        raise EngineDisagreement(I, tables["lcm"], tables["hochster"])
-    table = next(iter(tables.values()))
-    table.engines = tuple(tables)
-    return table
+        raise CapacityError("both engines over capacity: " + "; ".join(errors))
+    if len(tables) == 2 and tables[0] != tables[1]:
+        raise EngineDisagreement(I, *tables)
+    return BettiTable(tables[0].entries, tuple(names))
 
 
 # Each entry holds a whole ideal.  Criterion 8 (all n <= 6) peaks at 568

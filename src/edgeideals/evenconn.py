@@ -156,13 +156,7 @@ class ColonQuadraticIdeal:
         return Graph(self.n, self.edges)
 
     def as_ideal(self):
-        gens = set()
-        for u, v in self.edges:
-            gens.add(mon.mul(mon.variable(self.n, u), mon.variable(self.n, v)))
-        for u in self.squares:
-            x = mon.variable(self.n, u)
-            gens.add(mon.mul(x, x))
-        return mon.MonomialIdeal(self.n, frozenset(gens))
+        return mon.quadratic_ideal(self.n, self.edges, self.squares)
 
     def new_edges(self, G):
         return sorted(e for e in self.edges if e not in G.edges)

@@ -98,7 +98,8 @@ def from_edge_list(text):
     One "u v" pair per line, '#' starts a comment, blank lines ignored.
     An optional first line "n <count>" forces the vertex count; otherwise
     n is 1 + the largest vertex index seen (0 for empty input).  Either
-    way n may not exceed MAX_VERTICES.
+    way n may not exceed MAX_VERTICES.  Every refusal names its line: a
+    header below the largest index names the header's.
     """
     n_override = None
     edges = []
@@ -129,6 +130,7 @@ def from_edge_list(text):
                     f"line {line_no}: vertex count {n_override} exceeds the "
                     f"limit of {MAX_VERTICES} vertices"
                 )
+            header_line = line_no
             continue
         saw_data = True
         if len(toks) != 2:
@@ -159,7 +161,8 @@ def from_edge_list(text):
     if n_override is not None:
         if n_override < n:
             raise GraphError(
-                f"header n={n_override} smaller than largest vertex index {n - 1}"
+                f"line {header_line}: header n={n_override} smaller than "
+                f"largest vertex index {n - 1}"
             )
         n = n_override
     return Graph(n, frozenset(edges))

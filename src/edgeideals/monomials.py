@@ -47,18 +47,8 @@ def degree(m):
     return sum(m)
 
 
-def mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def one(nvars):
     return (0,) * nvars
-
-
-def variable(nvars, i, power=1):
-    m = [0] * nvars
-    m[i] = power
-    return tuple(m)
 
 
 def monomial_str(m):
@@ -183,15 +173,18 @@ def minimalize(nvars, gens):
     return MonomialIdeal(nvars, frozenset(_unpack(kept, nvars, w)))
 
 
+def quadratic_ideal(nvars, edges, squares=()):
+    """The ideal generated by x_u*x_v for each edge uv and x_u^2 for each
+    vertex u in `squares`: distinct monomials of degree 2, so minimal."""
+    pairs = chain(edges, ((u, u) for u in squares))
+    return MonomialIdeal(
+        nvars, frozenset(product_of_edges(nvars, [e]) for e in pairs)
+    )
+
+
 def edge_ideal(G):
     """The quadratic squarefree ideal with one generator x_u*x_v per edge."""
-    gens = set()
-    for u, v in G.edges:
-        m = [0] * G.n
-        m[u] = 1
-        m[v] = 1
-        gens.add(tuple(m))
-    return MonomialIdeal(G.n, frozenset(gens))
+    return quadratic_ideal(G.n, G.edges)
 
 
 def power(I, s):

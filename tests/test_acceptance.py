@@ -19,6 +19,7 @@ from edgeideals.betti import (
     CapacityError,
     betti_table,
     betti_table_hochster,
+    betti_table_lcm,
 )
 from edgeideals.evenconn import colon_graph, colon_ideal_by_algebra
 from edgeideals.generators import (
@@ -287,8 +288,8 @@ def test_criterion_09_engine_cross_validation():
             continue
         I = power(edge_ideal(G), rng.randint(1, 2))
         try:
-            a = betti_table(I, ("lcm",))
-            b = betti_table(I, ("hochster",))
+            a = betti_table_lcm(I)
+            b = betti_table_hochster(I)
         except CapacityError:
             continue
         if a.entries != b.entries:

@@ -126,6 +126,15 @@ class TestAnchors:
         with pytest.raises(IdealError):
             betti_table(MonomialIdeal(3, frozenset()))
 
+    @pytest.mark.parametrize(
+        "engine", [betti_table, betti_table_lcm, betti_table_hochster]
+    )
+    def test_unit_ideal_rejected(self, engine):
+        from edgeideals.monomials import IdealError
+
+        with pytest.raises(IdealError, match="^the unit ideal has no Betti"):
+            engine(MonomialIdeal(3, frozenset({(0, 0, 0)})))
+
 
 class TestStructure:
     def test_beta0_counts_generators_by_degree(self):
@@ -135,7 +144,7 @@ class TestStructure:
             I = power(I_of(G), rng.randint(1, 2))
             if I.is_zero:
                 continue
-            T = betti_table(I, ("hochster",))
+            T = betti_table_hochster(I)
             degs = {}
             for g in I.sorted_gens():
                 d = sum(g)
@@ -189,7 +198,7 @@ class TestStructure:
         assert isinstance(lcm_lattice(I_of(cycle_graph(5))), frozenset)
 
     def test_text_triangle(self):
-        T = betti_table(I_of(path_graph(4)), ("lcm",))
+        T = betti_table_lcm(I_of(path_graph(4)))
         text = T.text_triangle()
         # Macaulay-style triangle: columns 0..pd, rows by j - i.
         assert text.splitlines()[0].split() == ["0", "1"]
@@ -1352,7 +1361,7 @@ class TestHochsterSweep:
 
 class TestRegularity:
     def test_cross_validate(self, monkeypatch):
-        # The default runs both engines; the cleared memo answers nothing.
+        # Both engines run; the cleared memo answers nothing.
         calls = []
         hochster = betti.betti_table_hochster
 
@@ -1366,15 +1375,15 @@ class TestRegularity:
         assert len(calls) == 1
 
     def test_engine_choices(self):
+        # Each engine names itself; the rule names the engines that answered.
         I = I_of(path_graph(5))  # reg = nu(P5) + 1 = 3 (forest)
-        settings = (("lcm",), ("hochster",), BOTH)
-        assert {betti_table(I, e).regularity() for e in settings} == {3}
-
-    def test_bad_engine(self):
-        I = I_of(path_graph(3))
-        for bad in (("nope",), "lcm", "auto", "both", ("hochster", "lcm"), ()):
-            with pytest.raises(ValueError):
-                betti_table(I, bad)
+        for engine, engines in (
+            (betti_table_lcm, ("lcm",)),
+            (betti_table_hochster, ("hochster",)),
+            (betti_table, BOTH),
+        ):
+            T = engine(I)
+            assert T.engines == engines and T.regularity() == 3
 
 
 class TestEngineRule:
@@ -1386,11 +1395,11 @@ class TestEngineRule:
 
     def test_one_engine_request_raises_its_own_error(self):
         with pytest.raises(CapacityError, match="^18 generators exceed"):
-            betti_table(I_of(complete_bipartite_graph(3, 6)), ("lcm",))
+            betti_table_lcm(I_of(complete_bipartite_graph(3, 6)))
         with pytest.raises(
             CapacityError, match="^25 polarized variables exceed the cap 24$"
         ):
-            betti_table(I_of(path_graph(25)), ("hochster",))
+            betti_table_hochster(I_of(path_graph(25)))
 
     def test_both_over_cap(self):
         # I(P26): 25 generators, over the lcm cap, and one path component
@@ -1423,6 +1432,19 @@ class TestEngineRule:
         )
         with pytest.raises(EngineDisagreement):
             betti_table(I_of(path_graph(4)))
+
+    def test_engine_tables_keep_their_own_names(self, monkeypatch):
+        # The rule builds its own table and leaves each engine's as it was.
+        returned = []
+        lcm = betti.betti_table_lcm
+
+        def recorded(I):
+            returned.append(lcm(I))
+            return returned[-1]
+
+        monkeypatch.setattr(betti, "betti_table_lcm", recorded)
+        assert betti_table(I_of(path_graph(4))).engines == BOTH
+        assert [T.engines for T in returned] == [("lcm",)]
 
     def test_equality_ignores_engines(self):
         assert BettiTable({(0, 2): 1}, ("lcm",)) == BettiTable({(0, 2): 1})
@@ -1505,15 +1527,15 @@ class TestCaps:
     def test_lcm_lattice_cap(self, monkeypatch):
         # I(C5) has 5 generators and a lattice of 16 elements, over the
         # patched cap.  Both engines read that one lattice, so each refuses
-        # it, and a two-engine request names the cap for both.  The cap is
+        # it, and `betti_table` names the cap for both.  The cap is
         # read when a lattice is built, so the memo is cleared first.
         I = I_of(cycle_graph(5))
         monkeypatch.setattr(betti, "LATTICE_CAP", 5)
         lcm_lattice.cache_clear()
         msg = "lcm lattice exceeded the cap 5"
-        for engines in (("lcm",), ("hochster",)):
+        for engine in (betti_table_lcm, betti_table_hochster):
             with pytest.raises(CapacityError, match=f"^{msg}$"):
-                betti_table(I, engines)
+                engine(I)
         both = f"^both engines over capacity: {msg}; {msg}$"
         with pytest.raises(CapacityError, match=both):
             betti_table(I)
@@ -1558,7 +1580,7 @@ class TestCaps:
 
     def test_engine_disagreement_repr(self):
         I = I_of(path_graph(3))
-        T = betti_table(I, ("lcm",))
+        T = betti_table_lcm(I)
         exc = EngineDisagreement(I, T, BettiTable({(0, 2): 9}))
         assert str(exc) == (
             "Betti engines disagree on ['x1*x2', 'x0*x1']: "

@@ -312,6 +312,19 @@ class TestColon:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ("", "bad edge ''; expected 'u-v'"),
+            ("1-2,", "bad edge ''; expected 'u-v'"),
+            ("1-x", "bad edge '1-x': invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_bad_edge_list(self, capsys, graph_file, edges, message):
+        argv = ["colon", "--graph", graph_file(path_graph(4)), "--edges", edges]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_edge(self, capsys, graph_file):
         assert (
             main(

@@ -294,6 +294,27 @@ class TestConstruction:
             from_edge_list("n 3\n0 1\n0 x\n")
         assert "3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("n 3 4\n", "line 1: expected 'n <count>'"),
+            ("# c\nn x\n", "line 2: bad vertex count 'x'"),
+            ("n -1\n", "line 1: negative vertex count"),
+            ("0 1\n1 2 3\n", "line 2: expected two vertex indices, got 3 tokens"),
+            ("0 -1\n", "line 1: negative vertex index"),
+            ("0 1\n\n2 2\n", "line 3: loop edge at vertex 2"),
+            ("0 1\n1 0\n", "line 2: duplicate edge (0, 1)"),
+            (
+                "# c\nn 2\n0 1\n0 3\n",
+                "line 2: header n=2 smaller than largest vertex index 3",
+            ),
+        ],
+    )
+    def test_parse_refusals_name_their_line(self, doc, message):
+        with pytest.raises(GraphError) as err:
+            from_edge_list(doc)
+        assert str(err.value) == message
+
     def test_parse_empty_document_is_empty_graph(self):
         G = from_edge_list("")
         assert G.n == 0 and not G.edges

@@ -17,11 +17,10 @@ from edgeideals.monomials import (
     equals,
     minimalize,
     monomial_str,
-    mul,
     one,
     power,
     product_of_edges,
-    variable,
+    quadratic_ideal,
 )
 from edgeideals.monomials import _packed_power
 from edgeideals.generators import cycle_graph, path_graph
@@ -29,6 +28,11 @@ from edgeideals.generators import cycle_graph, path_graph
 
 def rand_monomial(rng, nvars, maxdeg=3):
     return tuple(rng.randint(0, maxdeg) for _ in range(nvars))
+
+
+def mul(a, b):
+    """Product oracle on exponent tuples: exponents add."""
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def divides(a, b):
@@ -49,8 +53,8 @@ def contains(I, m):
 
 class TestMonomialArithmetic:
     def test_basics(self):
-        a = variable(4, 0)
-        b = variable(4, 1, 2)
+        a = (1, 0, 0, 0)
+        b = (0, 2, 0, 0)
         assert degree(a) == 1 and degree(b) == 2
         assert mul(a, b) == (1, 2, 0, 0)
         assert one(4) == (0, 0, 0, 0)
@@ -89,6 +93,12 @@ class TestIdeals:
     def test_squarefree_flag(self):
         assert edge_ideal(path_graph(3)).is_squarefree
         assert not minimalize(2, [(2, 0)]).is_squarefree
+
+    def test_quadratic_ideal(self):
+        # An edge uv gives x_u*x_v and a square u gives x_u^2.
+        I = quadratic_ideal(3, [(0, 1)], [2])
+        assert I.sorted_gens() == [(0, 0, 2), (1, 1, 0)]
+        assert quadratic_ideal(3, [(0, 1), (1, 2)]) == edge_ideal(path_graph(3))
 
     def test_membership_oracle(self):
         rng = random.Random(2)

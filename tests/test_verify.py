@@ -140,6 +140,19 @@ class TestIndividualChecks:
     def test_banerjee(self):
         assert check_banerjee_recursion(cycle_graph(5), 1).verdict == "pass"
 
+    def test_odd_girth_gates(self):
+        # A sweep takes k from derive_k, never above the odd girth, so only
+        # a k given by hand reaches these gates: corona(C5) has odd-girth 5.
+        G = corona(cycle_graph(5))
+        m = ((0, 1),)
+        for r in (
+            check_main_theorem(G, 3, 1),
+            check_colon_squarefree_and_oddgirth(G, m, 3),
+            check_vwc_preservation(G, m, 3),
+        ):
+            assert r.verdict == "skipped"
+            assert r.values == {"reason": "odd-girth 5 < 7"}
+
 
 def banerjee_by_every_generator(G, s):
     """The Banerjee check with one colon for every generator of I^s, the
